@@ -8,7 +8,6 @@
 #include "bench_common.h"
 #include "model/cost_model.h"
 #include "overlay/dht/chord.h"
-#include "overlay/dht/maintenance.h"
 #include "overlay/pgrid/pgrid.h"
 #include "overlay/replica/gossip.h"
 #include "overlay/unstructured/random_walk.h"
@@ -119,12 +118,11 @@ int main(int argc, char** argv) {
       net.SetOnline(i, true);
     }
     chord.SetMembers(members);
-    overlay::ChordMaintenance maint(&chord, &net, p.env, Rng(10));
     constexpr int kRounds = 50;
-    for (int r = 0; r < kRounds; ++r) maint.RunRound();
+    for (int r = 0; r < kRounds; ++r) chord.RunMaintenanceRound(p.env);
     double per_peer_per_round =
-        static_cast<double>(maint.stats().probes_sent) / kRounds /
-        static_cast<double>(n);
+        static_cast<double>(chord.maintenance_stats().probes_sent) /
+        kRounds / static_cast<double>(n);
     add("probe msgs/peer/round (env*log2 n)", per_peer_per_round,
         p.env * std::log2(static_cast<double>(n)));
   }

@@ -1118,7 +1118,7 @@ void PdhtSystem::PublishQueryResults() {
 void PdhtSystem::RunMaintenanceActor(sim::RoundContext& ctx) {
   if (config_.strategy == Strategy::kNoIndex || !overlay_) return;
   ScopedPhaseMs timer(&engine_, kPhaseMaint);
-  if (sharded_ && overlay_->has_sharded_maintenance()) {
+  if (sharded_) {
     RunShardedMaintenance(ctx);
   } else {
     overlay_->RunMaintenanceRound(config_.params.env);
@@ -1133,7 +1133,7 @@ void PdhtSystem::RunMaintenanceActor(sim::RoundContext& ctx) {
 }
 
 void PdhtSystem::RunShardedMaintenance(sim::RoundContext& ctx) {
-  // PLAN (serial): the overlay consumes its fractional budget map in
+  // PLAN (serial): the overlay consumes its fractional budgets in
   // canonical member order and freezes the round's task list -- one
   // deterministic (member, probe-count) sequence no matter how many
   // threads run the phase.

@@ -85,7 +85,7 @@ CanOverlay::CanOverlay(net::Network* network, Rng rng)
 void CanOverlay::SetMembers(const std::vector<net::PeerId>& members) {
   zones_.clear();
   neighbors_.clear();
-  probe_budget_.clear();
+  ResetMaintenanceBudgets();
   member_list_ = members;
   if (members.empty()) return;
 
@@ -228,65 +228,17 @@ void CanOverlay::NextHops(const RouteState& state, uint64_t /*key*/,
   }
 }
 
-uint64_t CanOverlay::RunMaintenanceRound(double env) {
-  uint64_t probes = 0;
-  for (net::PeerId peer : member_list_) {
-    if (!network_->IsOnline(peer)) continue;
-    const auto& nbrs = NeighborsOf(peer);
-    if (nbrs.empty()) continue;
-    double& budget = probe_budget_[peer];
-    budget += env * static_cast<double>(nbrs.size());
-    while (budget >= 1.0) {
-      budget -= 1.0;
-      net::PeerId target = nbrs[rng_.UniformU64(nbrs.size())];
-      net::Message probe;
-      probe.type = net::MessageType::kRoutingProbe;
-      probe.from = peer;
-      probe.to = target;
-      network_->Send(probe);
-      ++probes;
-    }
-  }
-  return probes;
-}
-
-uint32_t CanOverlay::PlanMaintenanceRound(double env) {
-  // Same budget accrual as the serial round, in the same member order;
-  // whole probes frozen at plan time.  Draws no randomness, so rng_
-  // advances identically whichever engine runs maintenance.
-  maint_tasks_.clear();
-  for (net::PeerId peer : member_list_) {
-    if (!network_->IsOnline(peer)) continue;
-    const auto& nbrs = NeighborsOf(peer);
-    if (nbrs.empty()) continue;
-    double& budget = probe_budget_[peer];
-    budget += env * static_cast<double>(nbrs.size());
-    const uint32_t probes = static_cast<uint32_t>(budget);
-    budget -= static_cast<double>(probes);
-    if (probes > 0) maint_tasks_.push_back(MaintTask{peer, probes});
-  }
-  return static_cast<uint32_t>(maint_tasks_.size());
-}
-
-void CanOverlay::ExecuteMaintenanceTask(uint32_t task, Rng& rng) {
-  const MaintTask& t = maint_tasks_[task];
-  const auto& nbrs = NeighborsOf(t.peer);
-  if (nbrs.empty()) return;
-  for (uint32_t p = 0; p < t.probes; ++p) {
+MaintenanceStats CanOverlay::ProbeMember(net::PeerId peer, uint32_t probes,
+                                         Rng& rng) {
+  const auto& nbrs = NeighborsOf(peer);
+  MaintenanceStats stats;
+  for (uint32_t p = 0; p < probes; ++p) {
     net::PeerId target = nbrs[rng.UniformU64(nbrs.size())];
-    net::Message probe;
-    probe.type = net::MessageType::kRoutingProbe;
-    probe.from = t.peer;
-    probe.to = target;
-    network_->Send(probe);
+    SendProbe(peer, target);
+    ++stats.probes_sent;
+    if (!network_->IsOnline(target)) ++stats.stale_detected;
   }
-}
-
-uint64_t CanOverlay::FinishMaintenanceRound() {
-  uint64_t probes = 0;
-  for (const MaintTask& t : maint_tasks_) probes += t.probes;
-  maint_tasks_.clear();
-  return probes;
+  return stats;
 }
 
 uint64_t CanOverlay::RoutingFingerprint() const {

@@ -87,22 +87,10 @@ class CanOverlay : public StructuredOverlay {
                 std::vector<RouteCandidate>* out) override;
   void OnAdvance(net::PeerId peer) override { MarkVisited(peer); }
 
-  /// Probe-based neighbor maintenance (env semantics as elsewhere).
-  /// CAN zones are static here, so "repair" means remembering the
-  /// neighbor is down; probes detect and are counted.  Returns probes.
-  /// Rejoin needs no refresh either (OnPeerRejoin keeps the base no-op).
-  uint64_t RunMaintenanceRound(double env) override;
-
-  /// Sharded maintenance (plan/execute/publish, see StructuredOverlay).
-  /// Plan consumes the same fractional probe budgets as the serial round
-  /// in member-list order; execute only probes (CAN has no repair --
-  /// zones and neighbor lists are static), reading the frozen neighbor
-  /// lists and drawing from the caller Rng, so distinct tasks are
-  /// trivially race-free.
-  bool has_sharded_maintenance() const override { return true; }
-  uint32_t PlanMaintenanceRound(double env) override;
-  void ExecuteMaintenanceTask(uint32_t task, Rng& rng) override;
-  uint64_t FinishMaintenanceRound() override;
+  /// Maintenance sizing: neighbor count of members()[slot].
+  size_t MemberTableSize(size_t slot) const override {
+    return TableSize(member_list_[slot]);
+  }
 
   /// Order-sensitive hash over zone bounds and neighbor lists of every
   /// member (determinism-test hook).  Static after SetMembers, but the
@@ -118,6 +106,14 @@ class CanOverlay : public StructuredOverlay {
  private:
   /// Torus distance between a point and a zone (0 if inside).
   static double DistanceToZone(const CanPoint& p, const CanZone& z);
+
+  /// Probes random neighbors of `peer`.  Zones and neighbor lists are
+  /// static here, so a probe that finds its target offline detects the
+  /// stale neighbor but repairs nothing; rejoin needs no refresh either
+  /// (OnPeerRejoin keeps the base no-op).
+  MaintenanceStats ProbeMember(net::PeerId peer, uint32_t probes,
+                               Rng& rng) override;
+  Rng& MaintenanceRng() override { return rng_; }
 
   /// Per-lookup routing state, one entry per lookup slot (set in
   /// StartLookup; concurrent walks each run under their own
@@ -152,16 +148,7 @@ class CanOverlay : public StructuredOverlay {
   std::unordered_map<net::PeerId, CanZone> zones_;
   std::unordered_map<net::PeerId, std::vector<net::PeerId>> neighbors_;
   std::vector<net::PeerId> member_list_;
-  std::unordered_map<net::PeerId, double> probe_budget_;
   std::vector<net::PeerId> empty_;
-
-  /// One sharded-maintenance task: all of a member's probes for the
-  /// round, frozen at plan time (neighbor lists are static).
-  struct MaintTask {
-    net::PeerId peer = net::kInvalidPeer;
-    uint32_t probes = 0;
-  };
-  std::vector<MaintTask> maint_tasks_;
 
   std::vector<LookupSlot> lookup_slots_{1};
   void ResizeLookupSlots(uint32_t n) override { lookup_slots_.resize(n); }

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "overlay/dht/maintenance.h"
 #include "util/bits.h"
 #include "util/hash.h"
 
@@ -13,43 +12,34 @@ namespace pdht::overlay {
 
 ChordOverlay::ChordOverlay(net::Network* network, Rng rng,
                            uint32_t successor_list_size)
-    : StructuredOverlay(network), rng_(rng),
+    : StructuredOverlay(network), maint_rng_(rng.Fork()),
       successor_list_size_(successor_list_size) {}
 
-ChordOverlay::~ChordOverlay() = default;
-
-uint64_t ChordOverlay::RunMaintenanceRound(double env) {
-  if (maint_ == nullptr) {
-    maint_ = std::make_unique<ChordMaintenance>(this, network_, env,
-                                                rng_.Fork());
-  } else {
-    // Keep the instance: fractional probe budgets carry across rounds
-    // even when the caller sweeps env.
-    maint_->set_env(env);
+MaintenanceStats ChordOverlay::ProbeMember(net::PeerId peer, uint32_t probes,
+                                           Rng& rng) {
+  FingerTable* table = TableOf(peer);
+  MaintenanceStats st;
+  for (uint32_t i = 0; i < probes; ++i) {
+    // The size is re-read per probe: a successor repair can shrink this
+    // member's own list mid-task.
+    const size_t total = table->size();
+    if (total == 0) break;
+    const size_t idx = static_cast<size_t>(rng.UniformU64(total));
+    const FingerEntry& entry =
+        idx < table->fingers().size()
+            ? table->fingers()[idx]
+            : table->successors()[idx - table->fingers().size()];
+    if (entry.peer == net::kInvalidPeer) continue;
+    SendProbe(peer, entry.peer);
+    ++st.probes_sent;
+    if (!network_->IsOnline(entry.peer)) {
+      ++st.stale_detected;
+      // Repair is free (piggybacked), per the paper's assumption.
+      RepairFinger(peer, idx);
+      ++st.repairs;
+    }
   }
-  uint64_t before = maint_->stats().probes_sent;
-  maint_->RunRound();
-  return maint_->stats().probes_sent - before;
-}
-
-uint32_t ChordOverlay::PlanMaintenanceRound(double env) {
-  // Same lazy construction as the serial path, so a run consumes the
-  // identical rng_ fork whichever engine drives maintenance.
-  if (maint_ == nullptr) {
-    maint_ = std::make_unique<ChordMaintenance>(this, network_, env,
-                                                rng_.Fork());
-  } else {
-    maint_->set_env(env);
-  }
-  return maint_->PlanRound();
-}
-
-void ChordOverlay::ExecuteMaintenanceTask(uint32_t task, Rng& rng) {
-  maint_->ExecuteTask(task, rng);
-}
-
-uint64_t ChordOverlay::FinishMaintenanceRound() {
-  return maint_->FinishRound();
+  return st;
 }
 
 uint64_t ChordOverlay::RoutingFingerprint() const {
@@ -71,6 +61,7 @@ void ChordOverlay::SetMembers(const std::vector<net::PeerId>& members) {
   ring_.clear();
   peer_to_index_.clear();
   members_cache_valid_ = false;
+  ResetMaintenanceBudgets();
   ring_.reserve(members.size());
   for (net::PeerId p : members) {
     ring_.push_back(Member{PeerToNodeId(p), p, FingerTable{}});

@@ -7,14 +7,14 @@
 //  * the *member set* is chosen by the PDHT layer (only numActivePeers
 //    peers participate in the DHT when the index is small, Section 3.2);
 //  * members churn on/off; fingers pointing at offline members are stale
-//    until probing maintenance (maintenance.h) refreshes them, and lookups
-//    pay extra messages to route around them.
+//    until probing maintenance (StructuredOverlay's maintenance round,
+//    Eq. 8) repairs them, and lookups pay extra messages to route around
+//    them.
 
 #ifndef PDHT_OVERLAY_DHT_CHORD_H_
 #define PDHT_OVERLAY_DHT_CHORD_H_
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -26,15 +26,12 @@
 
 namespace pdht::overlay {
 
-class ChordMaintenance;
-
 class ChordOverlay : public StructuredOverlay {
  public:
   /// `network` must outlive the overlay.  `successor_list_size` entries of
   /// redundancy for routing around failures.
   ChordOverlay(net::Network* network, Rng rng,
                uint32_t successor_list_size = 8);
-  ~ChordOverlay() override;
 
   /// (Re)builds the ring over the given member peers.  Ids derive from
   /// peer numbers; finger tables are constructed fresh (bootstrap traffic
@@ -89,18 +86,10 @@ class ChordOverlay : public StructuredOverlay {
   /// milliseconds.  0 without an RTT oracle.
   double ProgressWeightMs() const override;
 
-  /// One probe round of the owned ChordMaintenance (created on first use
-  /// with the given env; see overlay/dht/maintenance.h).  Returns probes
-  /// sent.
-  uint64_t RunMaintenanceRound(double env) override;
-
-  /// Sharded maintenance (plan/execute/publish, see StructuredOverlay):
-  /// forwarded to the owned ChordMaintenance, which keeps the fractional
-  /// budgets shared between the serial and sharded paths.
-  bool has_sharded_maintenance() const override { return true; }
-  uint32_t PlanMaintenanceRound(double env) override;
-  void ExecuteMaintenanceTask(uint32_t task, Rng& rng) override;
-  uint64_t FinishMaintenanceRound() override;
+  /// Maintenance sizing: fingers plus successor list of ring slot `slot`.
+  size_t MemberTableSize(size_t slot) const override {
+    return ring_[slot].table.size();
+  }
 
   /// Rejoin refresh, free/piggybacked (paper Section 3.3.1).
   void OnPeerRejoin(net::PeerId peer) override { RefreshNode(peer); }
@@ -151,11 +140,16 @@ class ChordOverlay : public StructuredOverlay {
   Member* FindMember(net::PeerId peer);
   const Member* FindMember(net::PeerId peer) const;
 
-  Rng rng_;
+  /// Probes random fingers/successors of `peer`; a stale one is repaired
+  /// in place (RepairFinger), so stale == repairs.
+  MaintenanceStats ProbeMember(net::PeerId peer, uint32_t probes,
+                               Rng& rng) override;
+  Rng& MaintenanceRng() override { return maint_rng_; }
+
+  Rng maint_rng_;  ///< serial maintenance stream (Chord's only draws)
   uint32_t successor_list_size_;
   std::vector<Member> ring_;  // sorted by id
   std::unordered_map<net::PeerId, size_t> peer_to_index_;
-  std::unique_ptr<ChordMaintenance> maint_;  // lazy, see RunMaintenanceRound
   mutable std::vector<net::PeerId> members_cache_;
   mutable bool members_cache_valid_ = false;
 

@@ -29,7 +29,7 @@ void KademliaOverlay::SetMembers(const std::vector<net::PeerId>& members) {
   nodes_.clear();
   member_list_.clear();
   sorted_ids_.clear();
-  probe_budget_.clear();
+  ResetMaintenanceBudgets();
   if (members.empty()) return;
   member_list_ = members;
   std::sort(member_list_.begin(), member_list_.end(),
@@ -214,14 +214,14 @@ bool KademliaOverlay::FallbackHop(const RouteState& state, uint64_t /*key*/,
   return true;
 }
 
-uint64_t KademliaOverlay::ProbeMember(net::PeerId peer, uint32_t probes,
-                                      Rng& rng) {
+MaintenanceStats KademliaOverlay::ProbeMember(net::PeerId peer,
+                                              uint32_t probes, Rng& rng) {
   NodeState& st = nodes_.at(peer);
   // Bucket sizes never change during a round (repair swaps contacts in
   // place), so the per-probe pick domain is fixed at entry.
   const size_t table_size = TableSize(peer);
-  if (table_size == 0) return 0;
-  uint64_t sent = 0;
+  MaintenanceStats stats;
+  if (table_size == 0) return stats;
   for (uint32_t i = 0; i < probes; ++i) {
     // Pick a uniformly random contact across the (ragged) buckets.
     size_t idx = static_cast<size_t>(rng.UniformU64(table_size));
@@ -231,13 +231,10 @@ uint64_t KademliaOverlay::ProbeMember(net::PeerId peer, uint32_t probes,
       ++b;
     }
     net::PeerId contact = st.buckets[b][idx];
-    net::Message probe;
-    probe.type = net::MessageType::kRoutingProbe;
-    probe.from = peer;
-    probe.to = contact;
-    network_->Send(probe);
-    ++sent;
+    SendProbe(peer, contact);
+    ++stats.probes_sent;
     if (!network_->IsOnline(contact)) {
+      ++stats.stale_detected;
       // Repair is free (piggybacked): swap in an online member of the
       // same bucket not already referenced, if one exists.  With the
       // PeerRtt hook installed the *cheapest* such replacement wins
@@ -263,61 +260,13 @@ uint64_t KademliaOverlay::ProbeMember(net::PeerId peer, uint32_t probes,
           best_rtt = rtt;
         }
       }
-      if (best != net::kInvalidPeer) st.buckets[b][idx] = best;
+      if (best != net::kInvalidPeer) {
+        st.buckets[b][idx] = best;
+        ++stats.repairs;
+      }
     }
   }
-  return sent;
-}
-
-uint64_t KademliaOverlay::RunMaintenanceRound(double env) {
-  uint64_t probes = 0;
-  for (net::PeerId peer : member_list_) {
-    if (!network_->IsOnline(peer)) continue;
-    size_t table_size = TableSize(peer);
-    if (table_size == 0) continue;
-    double& budget = probe_budget_[peer];
-    budget += env * static_cast<double>(table_size);
-    // floor + subtract leaves the same residual as the historical
-    // `while (budget >= 1.0) budget -= 1.0` loop (integer subtraction
-    // from a double this size is exact), and the draw sequence through
-    // ProbeMember is probe-for-probe the old inline loop.
-    const uint32_t whole = static_cast<uint32_t>(budget);
-    budget -= static_cast<double>(whole);
-    if (whole > 0) probes += ProbeMember(peer, whole, rng_);
-  }
-  return probes;
-}
-
-uint32_t KademliaOverlay::PlanMaintenanceRound(double env) {
-  maint_tasks_.clear();
-  for (net::PeerId peer : member_list_) {
-    if (!network_->IsOnline(peer)) continue;
-    const size_t table_size = TableSize(peer);
-    if (table_size == 0) continue;
-    double& budget = probe_budget_[peer];
-    budget += env * static_cast<double>(table_size);
-    const uint32_t whole = static_cast<uint32_t>(budget);
-    budget -= static_cast<double>(whole);
-    if (whole > 0) maint_tasks_.push_back(MaintTask{peer, whole});
-  }
-  maint_task_probes_.assign(maint_tasks_.size(), 0);
-  return static_cast<uint32_t>(maint_tasks_.size());
-}
-
-void KademliaOverlay::ExecuteMaintenanceTask(uint32_t task, Rng& rng) {
-  const MaintTask& t = maint_tasks_[task];
-  // ProbeMember writes only t.peer's buckets and reads shared frozen
-  // state (sorted ids, membership, online flags), so distinct tasks are
-  // race-free.
-  maint_task_probes_[task] = ProbeMember(t.peer, t.probes, rng);
-}
-
-uint64_t KademliaOverlay::FinishMaintenanceRound() {
-  uint64_t probes = 0;
-  for (uint64_t p : maint_task_probes_) probes += p;
-  maint_tasks_.clear();
-  maint_task_probes_.clear();
-  return probes;
+  return stats;
 }
 
 uint64_t KademliaOverlay::RoutingFingerprint() const {

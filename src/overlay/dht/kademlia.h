@@ -78,19 +78,10 @@ class KademliaOverlay : public StructuredOverlay {
   bool LenientHopLimit() const override { return true; }
   uint32_t LookupParallelism() const override { return alpha_; }
 
-  /// Probe-based bucket maintenance (env semantics as elsewhere): probes
-  /// random contacts, replaces detected-offline ones with an online
-  /// member of the same bucket (repair is free / piggybacked).
-  uint64_t RunMaintenanceRound(double env) override;
-
-  /// Sharded maintenance (plan/execute/publish, see StructuredOverlay):
-  /// plan consumes the fractional budget map serially in member order,
-  /// execute probes/repairs one member's buckets with the task Rng
-  /// (in-place contact swaps -- bucket sizes never change mid-phase).
-  bool has_sharded_maintenance() const override { return true; }
-  uint32_t PlanMaintenanceRound(double env) override;
-  void ExecuteMaintenanceTask(uint32_t task, Rng& rng) override;
-  uint64_t FinishMaintenanceRound() override;
+  /// Maintenance sizing: total contacts of members()[slot].
+  size_t MemberTableSize(size_t slot) const override {
+    return TableSize(member_list_[slot]);
+  }
 
   /// Rejoin refresh: rebuilds the peer's buckets from current membership.
   void OnPeerRejoin(net::PeerId peer) override { RefreshNode(peer); }
@@ -133,10 +124,13 @@ class KademliaOverlay : public StructuredOverlay {
   /// Rebuilds `peer`'s buckets; the over-full shuffle draws from `rng`
   /// (serial callers pass rng_, sharded rejoin passes a per-peer stream).
   void BuildBuckets(net::PeerId peer, Rng& rng);
-  /// One member's probe round against its own buckets, drawing from
-  /// `rng`; shared by the serial and sharded maintenance paths.  Returns
-  /// probes sent.
-  uint64_t ProbeMember(net::PeerId peer, uint32_t probes, Rng& rng);
+  /// Probes random contacts of `peer` and replaces a detected-offline
+  /// one with an online member of the same bucket (free, piggybacked);
+  /// a stale contact with no live replacement stays unrepaired.  Bucket
+  /// sizes never change (repair swaps in place).
+  MaintenanceStats ProbeMember(net::PeerId peer, uint32_t probes,
+                               Rng& rng) override;
+  Rng& MaintenanceRng() override { return rng_; }
   /// Members whose id differs from `id` first at bit `bucket`.
   std::vector<net::PeerId> BucketCandidates(NodeId id, int bucket) const;
   /// The member id-closest (XOR) to `target`; kInvalidPeer when empty.
@@ -148,15 +142,6 @@ class KademliaOverlay : public StructuredOverlay {
   std::unordered_map<net::PeerId, NodeState> nodes_;
   std::vector<net::PeerId> member_list_;  // sorted by node id
   std::vector<NodeId> sorted_ids_;        // parallel to member_list_
-  std::unordered_map<net::PeerId, double> probe_budget_;
-
-  /// Sharded-maintenance round state (plan -> execute -> finish).
-  struct MaintTask {
-    net::PeerId peer = net::kInvalidPeer;
-    uint32_t probes = 0;
-  };
-  std::vector<MaintTask> maint_tasks_;
-  std::vector<uint64_t> maint_task_probes_;  // parallel to maint_tasks_
 
   /// Per-lookup routing state, one entry per lookup slot (set in
   /// StartLookup; concurrent walks each run under their own

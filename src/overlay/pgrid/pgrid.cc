@@ -21,7 +21,7 @@ PGridOverlay::PGridOverlay(net::Network* network, Rng rng, PGridConfig config)
 void PGridOverlay::SetMembers(const std::vector<net::PeerId>& members) {
   paths_.clear();
   member_list_ = members;
-  probe_budget_.clear();
+  ResetMaintenanceBudgets();
   if (members.empty()) return;
   // Recursive halving: split the (shuffled) member set until groups are at
   // most max_leaf_peers, assigning '0' to one half and '1' to the other.
@@ -48,7 +48,7 @@ uint64_t PGridOverlay::BuildByExchanges(
     const std::vector<net::PeerId>& members, uint64_t max_exchanges) {
   paths_.clear();
   member_list_ = members;
-  probe_budget_.clear();
+  ResetMaintenanceBudgets();
   for (net::PeerId p : members) paths_[p] = NodeState{TriePath{}, {}};
   if (members.size() < 2) return 0;
 
@@ -210,99 +210,29 @@ size_t PGridOverlay::TableSize(net::PeerId peer) const {
   return total;
 }
 
-uint64_t PGridOverlay::RunMaintenanceRound(double env) {
-  uint64_t probes = 0;
-  for (net::PeerId peer : member_list_) {
-    if (!network_->IsOnline(peer)) continue;
-    NodeState& st = paths_[peer];
-    size_t table = TableSize(peer);
-    if (table == 0) continue;
-    double& budget = probe_budget_[peer];
-    budget += env * static_cast<double>(table);
-    while (budget >= 1.0) {
-      budget -= 1.0;
-      // Pick a random reference uniformly across levels.
-      size_t idx = rng_.UniformU64(table);
-      for (auto& lvl : st.levels) {
-        if (idx < lvl.refs.size()) {
-          net::PeerId target = lvl.refs[idx];
-          net::Message probe;
-          probe.type = net::MessageType::kRoutingProbe;
-          probe.from = peer;
-          probe.to = target;
-          network_->Send(probe);
-          ++probes;
-          if (!network_->IsOnline(target)) {
-            // Re-pick a live peer from the same sibling subtree (repair is
-            // free, piggybacked -- same assumption as ChordMaintenance).
-            int level = static_cast<int>(&lvl - st.levels.data());
-            auto cands = PeersUnder(st.path.SiblingAt(level));
-            for (int a = 0; a < 16 && !cands.empty(); ++a) {
-              net::PeerId cand = cands[rng_.UniformU64(cands.size())];
-              if (network_->IsOnline(cand) && cand != target) {
-                lvl.refs[idx] = cand;
-                break;
-              }
-            }
-          }
-          break;
-        }
-        idx -= lvl.refs.size();
-      }
-    }
-  }
-  return probes;
-}
-
-uint32_t PGridOverlay::PlanMaintenanceRound(double env) {
-  // Same budget accrual as the serial round, in the same member order;
-  // whole probes are frozen at round-start table sizes.  The plan draws
-  // no randomness, so rng_ advances identically whichever engine runs
-  // maintenance for a given configuration.
-  maint_tasks_.clear();
-  for (net::PeerId peer : member_list_) {
-    if (!network_->IsOnline(peer)) continue;
-    const size_t table = TableSize(peer);
-    if (table == 0) continue;
-    double& budget = probe_budget_[peer];
-    budget += env * static_cast<double>(table);
-    const uint32_t probes = static_cast<uint32_t>(budget);
-    budget -= static_cast<double>(probes);
-    if (probes > 0) maint_tasks_.push_back(MaintTask{peer, probes});
-  }
-  return static_cast<uint32_t>(maint_tasks_.size());
-}
-
-void PGridOverlay::ExecuteMaintenanceTask(uint32_t task, Rng& rng) {
-  const MaintTask& t = maint_tasks_[task];
-  auto pit = paths_.find(t.peer);
-  assert(pit != paths_.end());
-  NodeState& st = pit->second;
-  size_t table = 0;
-  for (const auto& lvl : st.levels) table += lvl.refs.size();
-  if (table == 0) return;
-  for (uint32_t p = 0; p < t.probes; ++p) {
-    // Pick a random reference uniformly across levels (as the serial
-    // round does), drawing from the caller Rng only.
+MaintenanceStats PGridOverlay::ProbeMember(net::PeerId peer, uint32_t probes,
+                                           Rng& rng) {
+  NodeState& st = paths_.at(peer);
+  const size_t table = TableSize(peer);
+  MaintenanceStats stats;
+  for (uint32_t p = 0; p < probes; ++p) {
+    // Pick a random reference uniformly across levels.
     size_t idx = rng.UniformU64(table);
     for (auto& lvl : st.levels) {
       if (idx < lvl.refs.size()) {
         net::PeerId target = lvl.refs[idx];
-        net::Message probe;
-        probe.type = net::MessageType::kRoutingProbe;
-        probe.from = t.peer;
-        probe.to = target;
-        network_->Send(probe);
+        SendProbe(peer, target);
+        ++stats.probes_sent;
         if (!network_->IsOnline(target)) {
-          // Repair writes only this member's reference slot; the
-          // candidate scan reads other members' paths, which are frozen
-          // for the phase.
+          ++stats.stale_detected;
+          // Re-pick a live peer from the same sibling subtree.
           int level = static_cast<int>(&lvl - st.levels.data());
           auto cands = PeersUnder(st.path.SiblingAt(level));
           for (int a = 0; a < 16 && !cands.empty(); ++a) {
             net::PeerId cand = cands[rng.UniformU64(cands.size())];
             if (network_->IsOnline(cand) && cand != target) {
               lvl.refs[idx] = cand;
+              ++stats.repairs;
               break;
             }
           }
@@ -312,13 +242,7 @@ void PGridOverlay::ExecuteMaintenanceTask(uint32_t task, Rng& rng) {
       idx -= lvl.refs.size();
     }
   }
-}
-
-uint64_t PGridOverlay::FinishMaintenanceRound() {
-  uint64_t probes = 0;
-  for (const MaintTask& t : maint_tasks_) probes += t.probes;
-  maint_tasks_.clear();
-  return probes;
+  return stats;
 }
 
 uint64_t PGridOverlay::RoutingFingerprint() const {

@@ -94,21 +94,10 @@ class PGridOverlay : public StructuredOverlay {
   /// Total routing references of `peer` (for maintenance sizing).
   size_t TableSize(net::PeerId peer) const;
 
-  /// Probe-based maintenance round (same env semantics as
-  /// ChordMaintenance): probes random references, re-picks dead ones.
-  /// Returns probes sent.
-  uint64_t RunMaintenanceRound(double env) override;
-
-  /// Sharded maintenance (plan/execute/publish, see StructuredOverlay).
-  /// Plan consumes the same fractional probe budgets as the serial round
-  /// in member-list order; execute probes and repairs only the owning
-  /// member's reference lists, drawing from the caller Rng (repair
-  /// candidate scans read only other members' immutable paths, so
-  /// distinct tasks are race-free).
-  bool has_sharded_maintenance() const override { return true; }
-  uint32_t PlanMaintenanceRound(double env) override;
-  void ExecuteMaintenanceTask(uint32_t task, Rng& rng) override;
-  uint64_t FinishMaintenanceRound() override;
+  /// Maintenance sizing: total references of members()[slot].
+  size_t MemberTableSize(size_t slot) const override {
+    return TableSize(member_list_[slot]);
+  }
 
   /// Order-sensitive hash over paths and per-level reference lists of
   /// every member (determinism-test hook).
@@ -140,20 +129,18 @@ class PGridOverlay : public StructuredOverlay {
   /// Peers whose path starts with prefix (exact prefix match on paths).
   std::vector<net::PeerId> PeersUnder(const TriePath& prefix) const;
 
+  /// Probes random references of `peer` and re-picks a dead one from the
+  /// same sibling subtree (free, piggybacked); repair writes only this
+  /// member's reference slot, and the candidate scan reads other
+  /// members' paths, which never change after construction.
+  MaintenanceStats ProbeMember(net::PeerId peer, uint32_t probes,
+                               Rng& rng) override;
+  Rng& MaintenanceRng() override { return rng_; }
+
   Rng rng_;
   PGridConfig config_;
   std::unordered_map<net::PeerId, NodeState> paths_;
   std::vector<net::PeerId> member_list_;
-  std::unordered_map<net::PeerId, double> probe_budget_;
-
-  /// One sharded-maintenance task: all of a member's probes for the
-  /// round, frozen at plan time (reference-list sizes don't change
-  /// mid-round: repair replaces entries in place).
-  struct MaintTask {
-    net::PeerId peer = net::kInvalidPeer;
-    uint32_t probes = 0;
-  };
-  std::vector<MaintTask> maint_tasks_;
 
   /// Per-lookup routing state, one entry per lookup slot (set in
   /// StartLookup; concurrent walks each run under their own

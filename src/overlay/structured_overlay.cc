@@ -34,6 +34,61 @@ net::PeerId StructuredOverlay::RandomOnlineMember(Rng& rng) const {
   return net::kInvalidPeer;
 }
 
+uint64_t StructuredOverlay::RunMaintenanceRound(double env) {
+  const uint32_t num_tasks = PlanMaintenanceRound(env);
+  Rng& rng = MaintenanceRng();
+  for (uint32_t task = 0; task < num_tasks; ++task) {
+    ExecuteMaintenanceTask(task, rng);
+  }
+  return FinishMaintenanceRound();
+}
+
+uint32_t StructuredOverlay::PlanMaintenanceRound(double env) {
+  maint_tasks_.clear();
+  const std::vector<net::PeerId>& mem = members();
+  for (size_t slot = 0; slot < mem.size(); ++slot) {
+    const net::PeerId peer = mem[slot];
+    if (!network_->IsOnline(peer)) continue;
+    const size_t table_size = MemberTableSize(slot);
+    if (table_size == 0) continue;
+    if (peer >= maint_budget_.size()) maint_budget_.resize(peer + 1, 0.0);
+    double& budget = maint_budget_[peer];
+    budget += env * static_cast<double>(table_size);
+    // floor + subtract leaves the same residual as spending the budget
+    // one probe at a time (subtracting an integer from a double this
+    // size is exact).
+    const uint32_t probes = static_cast<uint32_t>(budget);
+    budget -= static_cast<double>(probes);
+    if (probes > 0) maint_tasks_.push_back(MaintTask{peer, probes, {}});
+  }
+  return static_cast<uint32_t>(maint_tasks_.size());
+}
+
+void StructuredOverlay::ExecuteMaintenanceTask(uint32_t task, Rng& rng) {
+  MaintTask& t = maint_tasks_[task];
+  t.stats = ProbeMember(t.peer, t.probes, rng);
+}
+
+uint64_t StructuredOverlay::FinishMaintenanceRound() {
+  uint64_t probes = 0;
+  for (const MaintTask& t : maint_tasks_) {
+    maint_stats_.probes_sent += t.stats.probes_sent;
+    maint_stats_.stale_detected += t.stats.stale_detected;
+    maint_stats_.repairs += t.stats.repairs;
+    probes += t.stats.probes_sent;
+  }
+  maint_tasks_.clear();
+  return probes;
+}
+
+void StructuredOverlay::SendProbe(net::PeerId from, net::PeerId to) {
+  net::Message probe;
+  probe.type = net::MessageType::kRoutingProbe;
+  probe.from = from;
+  probe.to = to;
+  network_->Send(probe);
+}
+
 void StructuredOverlay::ResponsiblePeersInto(
     uint64_t key, uint32_t count, std::vector<net::PeerId>* out) const {
   // "Index and content are replicated with the same factor" (Section 4)

@@ -23,8 +23,10 @@
 //    sites are unchanged.
 //  * Every hop attempt is one kDhtLookup on the shared Network (design
 //    decision #5: protocols never self-report costs).
-//  * RunMaintenanceRound spends env probe messages per routing entry per
-//    online member per round (Eq. 8 semantics, fractional budgets carry).
+//  * Maintenance (Eq. 8) is written once, here: every online member
+//    accrues env probes per routing entry per round into a fractional
+//    budget that carries across rounds, and spends the whole probes
+//    through the backend's ProbeMember hook (see "Maintenance round").
 //  * ResponsiblePeers returns the key's replica group, responsible member
 //    first.  The default spreads the remaining repl-1 replicas over
 //    hash-derived members (successor-consecutive replicas would overflow
@@ -118,6 +120,14 @@ struct LookupResult {
   uint32_t failovers = 0;     ///< dead replicas skipped (replica_route).
   uint32_t hop_rtt_n = 0;     ///< populated hop_rtt_ms entries.
   float hop_rtt_ms[kMaxHopRtt] = {};  ///< RTT of hop k's link, ms.
+};
+
+/// Maintenance counters: probes sent, probes that found their target
+/// offline, and stale entries the backend repaired.
+struct MaintenanceStats {
+  uint64_t probes_sent = 0;
+  uint64_t stale_detected = 0;
+  uint64_t repairs = 0;
 };
 
 class StructuredOverlay {
@@ -275,43 +285,60 @@ class StructuredOverlay {
   /// Default: 64 uniform draws from members(), then a linear fallback.
   virtual net::PeerId RandomOnlineMember(Rng& rng) const;
 
-  /// One probe-based maintenance round (Eq. 8): env probes per routing
-  /// entry per online member, stale entries repaired for free
-  /// (piggybacked).  Returns probes sent.
-  virtual uint64_t RunMaintenanceRound(double env) = 0;
-
-  // --- Sharded maintenance (optional backend opt-in) --------------------
+  // --- Maintenance round (paper Section 3.3.1, Eq. 8) -------------------
   //
-  // The plan/execute/publish split of RunMaintenanceRound, for the
-  // sharded round engine (docs/architecture.md).  A backend that opts in
-  // (has_sharded_maintenance() true) promises:
+  // "One possible strategy is to probe routing entries with a given rate
+  // to detect offline peers [MaCa03] ... we need only messages to detect
+  // stale routing entries (by probing) but assume no additional messages
+  // to repair those routing entries" (piggybacked repair).  Each online
+  // member accrues env * (its table size) probes per round into a
+  // fractional budget that carries across rounds, so env < 1 is honoured
+  // exactly in expectation; whole probes are spent on uniformly random
+  // entries of the member's own table, and a probe that finds its target
+  // offline lets the backend repair that entry for free.
   //
-  //  * PlanMaintenanceRound (serial) consumes the fractional probe
-  //    budgets in canonical member order and returns a task count N; the
-  //    task list is a pure function of (budgets, tables, online set).
-  //  * ExecuteMaintenanceTask (called concurrently for distinct task
-  //    indices in [0, N), any order, any thread) draws only from the
-  //    caller-provided Rng, writes only the owning member's routing
-  //    table, and reads shared state (membership, other tables' sizes,
-  //    Network::IsOnline) that the engine guarantees frozen for the
-  //    phase.  Probe sends go through the Network (the engine binds a
+  // The round is split plan / execute / finish so the sharded engine can
+  // run the execute step in parallel:
+  //
+  //  * PlanMaintenanceRound (serial) accrues the budgets in members()
+  //    order and freezes one task per member with >= 1 whole probe; the
+  //    task list is a pure function of (budgets, table sizes, online
+  //    set).  Returns the task count N.
+  //  * ExecuteMaintenanceTask (any order, any thread, distinct tasks in
+  //    [0, N)) runs the backend's ProbeMember for the task's member,
+  //    drawing only from the caller's Rng.  ProbeMember writes only that
+  //    member's own table and reads shared state (membership, other
+  //    members' tables, Network::IsOnline) that the engine freezes for
+  //    the phase; probe sends go through the Network (the engine binds a
   //    counter lane around each task).
-  //  * FinishMaintenanceRound (serial) merges per-task stats in task
-  //    order and returns the round's probes sent.
+  //  * FinishMaintenanceRound (serial) folds the per-task stats into
+  //    maintenance_stats() in task order and returns the round's probes.
   //
-  // Backends that keep the default stay on the serial
-  // RunMaintenanceRound -- the engine checks has_sharded_maintenance()
-  // and falls back, so opting in is never required for correctness.
-  virtual bool has_sharded_maintenance() const { return false; }
-  virtual uint32_t PlanMaintenanceRound(double env) {
-    (void)env;
-    return 0;
-  }
-  virtual void ExecuteMaintenanceTask(uint32_t task, Rng& rng) {
-    (void)task;
-    (void)rng;
-  }
-  virtual uint64_t FinishMaintenanceRound() { return 0; }
+  // RunMaintenanceRound is the three steps back to back, every task in
+  // order on the backend's MaintenanceRng().  Because a member's table is
+  // written only by its own probes, planning every member up front draws
+  // and sends exactly what probing the members one after another would.
+
+  /// One maintenance round on the backend's serial Rng.  Returns probes
+  /// sent.
+  uint64_t RunMaintenanceRound(double env);
+
+  uint32_t PlanMaintenanceRound(double env);
+  void ExecuteMaintenanceTask(uint32_t task, Rng& rng);
+  uint64_t FinishMaintenanceRound();
+
+  /// Always true: every backend runs the shared planner.  Kept only
+  /// because the benchmark harness (perfbench/src/layer_probes.cc) calls
+  /// it, and files under perfbench/ stay frozen so benchmark runs remain
+  /// comparable across changes.
+  bool has_sharded_maintenance() const { return true; }
+
+  /// Cumulative maintenance counters over all finished rounds.
+  const MaintenanceStats& maintenance_stats() const { return maint_stats_; }
+
+  /// Routing-table size of members()[slot]: the entries a maintenance
+  /// round probes from (0 = nothing to probe).
+  virtual size_t MemberTableSize(size_t slot) const = 0;
 
   /// A member came back online after churn downtime: refresh its routing
   /// state (free, piggybacked).  Backends with static routing state (CAN
@@ -364,11 +391,37 @@ class StructuredOverlay {
   /// StartLookup-scoped state.
   virtual void ResizeLookupSlots(uint32_t n) { (void)n; }
 
+  /// Maintenance hook: spends `probes` (>= 1) probes from `peer` on
+  /// uniformly random entries of its own table, drawing only from `rng`,
+  /// and repairs the stale ones it finds (contract above).
+  virtual MaintenanceStats ProbeMember(net::PeerId peer, uint32_t probes,
+                                       Rng& rng) = 0;
+
+  /// The backend's serial stream for RunMaintenanceRound.
+  virtual Rng& MaintenanceRng() = 0;
+
+  /// Zeroes every fractional probe budget; SetMembers calls it.
+  void ResetMaintenanceBudgets() { maint_budget_.clear(); }
+
+  /// Sends one kRoutingProbe from `from` to `to` (ProbeMember helper).
+  void SendProbe(net::PeerId from, net::PeerId to);
+
   net::Network* network_;  ///< not owned
   PeerRttFn peer_rtt_;     ///< null = RTT-blind neighbor selection
 
  private:
+  /// One member's share of a planned round: its whole probes and, after
+  /// execution, what they found.
+  struct MaintTask {
+    net::PeerId peer = net::kInvalidPeer;
+    uint32_t probes = 0;
+    MaintenanceStats stats;
+  };
+
   RoutingDriver driver_;
+  std::vector<double> maint_budget_;  ///< fractional carry, by peer id
+  std::vector<MaintTask> maint_tasks_;
+  MaintenanceStats maint_stats_;
 };
 
 /// Construction-time knobs shared by all backends.  Backends read what

@@ -11,7 +11,6 @@
 #include "model/cost_model.h"
 #include "model/selection_model.h"
 #include "overlay/dht/chord.h"
-#include "overlay/dht/maintenance.h"
 #include "overlay/unstructured/random_walk.h"
 #include "overlay/unstructured/replication.h"
 #include "stats/histogram.h"
@@ -110,11 +109,10 @@ TEST(ModelVsSimTest, MaintenanceTrafficNearCRtn) {
     net.SetOnline(i, true);
   }
   chord.SetMembers(members);
-  overlay::ChordMaintenance maint(&chord, &net, p.env, Rng(19));
   constexpr int kRounds = 50;
-  for (int r = 0; r < kRounds; ++r) maint.RunRound();
+  for (int r = 0; r < kRounds; ++r) chord.RunMaintenanceRound(p.env);
   double measured_per_round =
-      static_cast<double>(maint.stats().probes_sent) / kRounds;
+      static_cast<double>(chord.maintenance_stats().probes_sent) / kRounds;
   // Model: env * log2(nap) per peer; our tables carry log2(n)+2 fingers
   // plus successors, so allow a 3x corridor.
   double predicted_per_round =

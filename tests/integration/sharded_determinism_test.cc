@@ -220,20 +220,6 @@ TEST(ShardedDeterminismTest, MaintenanceFingerprintMatrixCan) {
   }
 }
 
-TEST(ShardedDeterminismTest, EveryBackendHasShardedMaintenance) {
-  // The per-backend matrices above only bite if the sharded path is
-  // actually taken; pin the capability bit for all four backends.
-  for (DhtBackend backend : {DhtBackend::kChord, DhtBackend::kPGrid,
-                             DhtBackend::kCan, DhtBackend::kKademlia}) {
-    SystemConfig base = BaseConfig(Strategy::kPartialTtl);
-    base.backend = backend;
-    PdhtSystem system(Sharded(base, 2, 4));
-    ASSERT_NE(system.dht_overlay(), nullptr);
-    EXPECT_TRUE(system.dht_overlay()->has_sharded_maintenance())
-        << DhtBackendName(backend);
-  }
-}
-
 TEST(ShardedDeterminismTest, ShuffledPublishOrderIsBitIdentical) {
   // debug_shuffle_publish perturbs every *commutative* publish slice --
   // lane counter merges run last-to-first, the parallel per-origin stats

@@ -279,6 +279,109 @@ TEST(RoutingDriverParity, BlindModeMatchesMonolithicWalksBitForBit) {
   }
 }
 
+// --- Maintenance stream parity (recorded, bit-for-bit) ------------------
+//
+// The maintenance round (Eq. 8 budgets, per-member probe/repair) is
+// pinned per backend on both of its drivers: the serial
+// RunMaintenanceRound stream on the backend's own Rng, and the
+// Plan / Execute-every-task-in-order / Finish split on a fixed external
+// Rng.  The expected values were recorded before the budget planner
+// moved into StructuredOverlay (the tree where every backend still
+// carried its own RunMaintenanceRound/PlanMaintenanceRound copies) by
+// running MaintenanceRun verbatim and printing probes, the final
+// RoutingFingerprint() and the per-round fingerprint chain.  env 1.0 is
+// the whole-probe regime; env 0.35 exercises the fractional carry.  If a
+// future change alters maintenance *intentionally*, re-record with that
+// procedure and say so in the change.
+
+struct MaintenanceRunResult {
+  uint64_t probes = 0;
+  uint64_t fingerprint = 0;  ///< RoutingFingerprint() after the last round
+  uint64_t chain = 1469598103934665603ull;  ///< FNV over every round's
+                                           ///< fingerprint
+};
+
+/// 30 maintenance rounds over 64 members with every 4th member offline.
+MaintenanceRunResult MaintenanceRun(core::DhtBackend backend, double env,
+                                    bool split) {
+  CounterRegistry counters;
+  net::Network net(&counters);
+  std::vector<net::PeerId> members;
+  for (uint32_t i = 0; i < kMembers; ++i) {
+    members.push_back(i);
+    net.SetOnline(i, true);
+  }
+  overlay::OverlayParams op;
+  op.repl = kRepl;
+  op.num_peers = kMembers;
+  auto ov = overlay::MakeOverlay(backend, &net, op, Rng(7));
+  ov->SetMembers(members);
+  for (uint32_t i = 0; i < kMembers; i += 4) net.SetOnline(i, false);
+  Rng task_rng(23);
+  MaintenanceRunResult out;
+  for (int round = 0; round < 30; ++round) {
+    if (split) {
+      const uint32_t n = ov->PlanMaintenanceRound(env);
+      for (uint32_t t = 0; t < n; ++t) ov->ExecuteMaintenanceTask(t, task_rng);
+      out.probes += ov->FinishMaintenanceRound();
+    } else {
+      out.probes += ov->RunMaintenanceRound(env);
+    }
+    out.chain = (out.chain ^ ov->RoutingFingerprint()) * 1099511628211ull;
+  }
+  out.fingerprint = ov->RoutingFingerprint();
+  return out;
+}
+
+struct RecordedMaintenance {
+  core::DhtBackend backend;
+  double env;
+  MaintenanceRunResult serial;
+  MaintenanceRunResult split;
+};
+
+TEST(MaintenanceParity, SerialAndSplitStreamsMatchRecordingBitForBit) {
+  const RecordedMaintenance golden[] = {
+      {core::DhtBackend::kChord, 1.0,
+       {23040, 11336261174500370360ull, 17984053539773971746ull},
+       {23040, 11336261174500370360ull, 15684779856831594182ull}},
+      {core::DhtBackend::kChord, 0.35,
+       {8016, 11336261174500370360ull, 8609379545923475482ull},
+       {8016, 11336261174500370360ull, 7035212468215891807ull}},
+      {core::DhtBackend::kPGrid, 1.0,
+       {23040, 14744031469621117513ull, 15508002647301279768ull},
+       {23040, 17382286975186190654ull, 8676473680255819553ull}},
+      {core::DhtBackend::kPGrid, 0.35,
+       {8016, 777045564924544285ull, 18152789471957305827ull},
+       {8016, 15636384854398494635ull, 8343327066489718705ull}},
+      {core::DhtBackend::kCan, 1.0,
+       {5760, 2769938036776228407ull, 13687682313188309365ull},
+       {5760, 2769938036776228407ull, 13687682313188309365ull}},
+      {core::DhtBackend::kCan, 0.35,
+       {1968, 2769938036776228407ull, 13687682313188309365ull},
+       {1968, 2769938036776228407ull, 13687682313188309365ull}},
+      {core::DhtBackend::kKademlia, 1.0,
+       {44970, 4701349746443808425ull, 1979657429880690390ull},
+       {44970, 1012945387927834700ull, 390443763187475297ull}},
+      {core::DhtBackend::kKademlia, 0.35,
+       {15702, 12563010796084305858ull, 8392916308160821590ull},
+       {15702, 17237230460399243939ull, 2426460745525437502ull}},
+  };
+  for (const RecordedMaintenance& g : golden) {
+    if (!overlay::IsRegisteredBackend(g.backend)) continue;
+    for (bool split : {false, true}) {
+      const MaintenanceRunResult want = split ? g.split : g.serial;
+      const MaintenanceRunResult got = MaintenanceRun(g.backend, g.env, split);
+      const std::string what = std::string(core::DhtBackendName(g.backend)) +
+                               " env " + std::to_string(g.env) +
+                               (split ? " split" : " serial");
+      EXPECT_EQ(got.probes, want.probes) << what;
+      EXPECT_EQ(got.fingerprint, want.fingerprint) << what;
+      EXPECT_EQ(got.chain, want.chain) << what;
+    }
+  }
+}
+
 // --- Adaptive-RTO degradation parity -----------------------------------
 //
 // The PeerRtt-null contract (net/rtt_estimator.h): an estimator with no

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "overlay/dht/chord.h"
-#include "overlay/dht/maintenance.h"
 #include "sim/churn.h"
 
 namespace pdht::overlay {
@@ -26,7 +25,6 @@ TEST_P(ChordChurnStress, SurvivesSustainedChurn) {
     net.SetOnline(i, true);
   }
   chord.SetMembers(members);
-  ChordMaintenance maint(&chord, &net, /*env=*/1.0, Rng(seed + 1));
 
   sim::ChurnConfig cc;
   cc.mean_online_s = 80;
@@ -34,13 +32,13 @@ TEST_P(ChordChurnStress, SurvivesSustainedChurn) {
   sim::ChurnModel churn(kN, cc, Rng(seed + 2));
   struct Ctx {
     net::Network* net;
-    ChordMaintenance* maint;
-  } ctx{&net, &maint};
+    ChordOverlay* chord;
+  } ctx{&net, &chord};
   churn.AddObserver(
       [](void* vctx, uint32_t peer, bool online, double) {
         auto* c = static_cast<Ctx*>(vctx);
         c->net->SetOnline(peer, online);
-        if (online) c->maint->OnPeerRejoin(peer);
+        if (online) c->chord->RefreshNode(peer);
       },
       &ctx);
   for (uint32_t i = 0; i < kN; ++i) net.SetOnline(i, churn.IsOnline(i));
@@ -50,7 +48,7 @@ TEST_P(ChordChurnStress, SurvivesSustainedChurn) {
   uint64_t successes = 0;
   for (int round = 1; round <= 200; ++round) {
     churn.AdvanceTo(static_cast<double>(round));
-    maint.RunRound();
+    chord.RunMaintenanceRound(/*env=*/1.0);
     ASSERT_EQ(chord.CheckInvariants(), "") << "round " << round;
     // A few lookups per round from random online members.
     for (int q = 0; q < 3; ++q) {
@@ -89,7 +87,6 @@ TEST(ChordChurnStressTest, MassDepartureThenRecovery) {
     net.SetOnline(i, true);
   }
   chord.SetMembers(members);
-  ChordMaintenance maint(&chord, &net, 2.0, Rng(8));
 
   // Half the network vanishes at once.
   for (uint32_t i = 0; i < kN; i += 2) net.SetOnline(i, false);
@@ -103,15 +100,15 @@ TEST(ChordChurnStressTest, MassDepartureThenRecovery) {
   }
   EXPECT_GT(ok, 40);
   // Maintenance grinds staleness down.
-  for (int r = 0; r < 40; ++r) maint.RunRound();
+  for (int r = 0; r < 40; ++r) chord.RunMaintenanceRound(2.0);
   double stale_after = chord.StaleFingerFraction();
   EXPECT_LT(stale_after, 0.2);
   // Everyone returns; rejoin refreshes restore a fully live ring.
   for (uint32_t i = 0; i < kN; i += 2) {
     net.SetOnline(i, true);
-    maint.OnPeerRejoin(i);
+    chord.RefreshNode(i);
   }
-  for (int r = 0; r < 20; ++r) maint.RunRound();
+  for (int r = 0; r < 20; ++r) chord.RunMaintenanceRound(2.0);
   EXPECT_LT(chord.StaleFingerFraction(), 0.05);
   int ok2 = 0;
   for (int q = 0; q < 50; ++q) {

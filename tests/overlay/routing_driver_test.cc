@@ -58,7 +58,7 @@ class ScriptedOverlay : public StructuredOverlay {
     out->assign(replica_group.begin(), replica_group.end());
     if (out->size() > count) out->resize(count);
   }
-  uint64_t RunMaintenanceRound(double) override { return 0; }
+  size_t MemberTableSize(size_t) const override { return 0; }
 
   bool StartLookup(net::PeerId, uint64_t, net::PeerId* responsible) override {
     if (members_.empty()) return false;
@@ -86,8 +86,16 @@ class ScriptedOverlay : public StructuredOverlay {
   void OnAdvance(net::PeerId peer) override { advances.push_back(peer); }
 
  private:
+  // No routing table to maintain: MemberTableSize is 0, so maintenance
+  // plans no tasks and never probes.
+  MaintenanceStats ProbeMember(net::PeerId, uint32_t, Rng&) override {
+    return {};
+  }
+  Rng& MaintenanceRng() override { return rng_; }
+
   net::PeerId dest_;
   std::vector<net::PeerId> members_;
+  Rng rng_{0};
 };
 
 class ScriptedFixture : public ::testing::Test {
