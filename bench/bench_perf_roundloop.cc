@@ -4,9 +4,9 @@
 // so hot-path regressions (message accounting, replica-group allocation,
 // metric probes) are caught as a number, not a feeling.  The
 // --sim-threads axis (comma list, e.g. --sim-threads=1,4) measures the
-// sharded round engine: 1 runs the legacy serial loop, >1 runs the
-// phase-parallel engine whose results are bit-identical at any thread
-// count (tests/integration/sharded_determinism_test.cc).
+// round engine's worker pool: 1 runs every phase inline, >1 runs the
+// phases in parallel; results are bit-identical at any thread count
+// (tests/integration/sharded_determinism_test.cc).
 //
 // Scenarios are the paper's Table 1 at 1/14 and 1/50 scale (peers and keys
 // divided, per-peer storage and replication reduced proportionally), run
@@ -36,13 +36,11 @@
 // default budget = smoke mode for it -- an explicit --rounds is capped at
 // each scenario's default so a small-scenario budget cannot explode the
 // 1M-peer run -- --full adds the paper-scale scenario, --json=<path>
-// overrides the baseline output path).  --sim-threads accepts the token
-// "auto" as an axis point (the system picks serial vs sharded from the
-// work size and sizes the pool from the host).  --phase-times enables
-// the opt-in round.phase.*.ms series and prints a per-phase wall-clock
+// overrides the baseline output path).  --phase-times enables the
+// opt-in round.phase.*.ms series and prints a per-phase wall-clock
 // breakdown plus a serial_fraction column ((plan + publish + drain) /
-// total, the sharded engine's Amdahl floor) -- the tool for spotting
-// which serial remainder dominates at a given scale.
+// total, the engine's Amdahl floor) -- the tool for spotting which
+// serial remainder dominates at a given scale.
 
 #include <algorithm>
 #include <chrono>
@@ -161,7 +159,7 @@ constexpr const char* kPhaseNames[] = {"churn",  "maint",   "plan",
                                        "evict",  "drain"};
 constexpr size_t kNumPhases = sizeof(kPhaseNames) / sizeof(kPhaseNames[0]);
 
-/// Phases that still hold serial work in the sharded engine.  plan and
+/// Phases that still hold serial work in the round engine.  plan and
 /// publish keep a serial remainder (prefix sum, the order-sensitive
 /// publish slice) and drain falls back to serial whenever a batch holds
 /// an unkeyed or cancelled event, so their combined share of the round is
@@ -185,9 +183,7 @@ struct Measurement {
   std::string scenario;
   std::string strategy;
   uint64_t peers = 0;
-  /// Axis label: a thread count ("1", "4") or "auto" (engine selection
-  /// left to SystemConfig::sim_threads_auto).
-  std::string sim_threads = "1";
+  uint32_t sim_threads = 1;
   uint64_t warmup = 0;
   uint64_t rounds = 0;
   double seconds = 0.0;
@@ -197,7 +193,7 @@ struct Measurement {
   bool has_phases = false;
   double phase_ms[kNumPhases] = {};
   /// (plan + publish + drain) / total phase time: the serial share of the
-  /// round under the sharded engine.  0 when phases were not recorded.
+  /// round.  0 when phases were not recorded.
   double serial_fraction = 0.0;
   /// Scenarios have different default budgets, so smoke (reduced budget,
   /// shape checks informational) is tracked per measurement, not in the
@@ -210,11 +206,7 @@ Measurement MeasureOne(const Scenario& sc, Strategy strategy,
                        bool phase_times) {
   SystemConfig config = sc.config;
   config.strategy = strategy;
-  if (sim_threads == BenchFlags::kSimThreadsAuto) {
-    config.sim_threads_auto = true;  // engine + thread count by work size
-  } else {
-    config.sim_threads = sim_threads;  // 1 = legacy serial engine
-  }
+  config.sim_threads = sim_threads;
   config.phase_timing = phase_times;
   pdht::core::PdhtSystem system(config);
 
@@ -222,9 +214,7 @@ Measurement MeasureOne(const Scenario& sc, Strategy strategy,
   m.scenario = sc.name;
   m.strategy = pdht::core::StrategyName(strategy);
   m.peers = config.params.num_peers;
-  m.sim_threads = sim_threads == BenchFlags::kSimThreadsAuto
-                      ? "auto"
-                      : std::to_string(sim_threads);
+  m.sim_threads = sim_threads;
   // Warm up past the transient (partialTtl index fill, churn mixing) so
   // the timed window measures the steady-state loop.
   m.warmup = std::max<uint64_t>(sc.min_warmup, rounds / 5);
@@ -274,7 +264,7 @@ bool WriteJson(const std::string& path,
     const Measurement& m = results[i];
     std::fprintf(f,
                  "    {\"scenario\": \"%s\", \"strategy\": \"%s\", "
-                 "\"peers\": %llu, \"sim_threads\": \"%s\", "
+                 "\"peers\": %llu, \"sim_threads\": \"%u\", "
                  "\"warmup_rounds\": %llu, "
                  "\"timed_rounds\": %llu, \"smoke\": %s, "
                  "\"seconds\": %.6f, "
@@ -282,7 +272,7 @@ bool WriteJson(const std::string& path,
                  "\"serial_fraction\": %.4f}%s\n",
                  m.scenario.c_str(), m.strategy.c_str(),
                  static_cast<unsigned long long>(m.peers),
-                 m.sim_threads.c_str(),
+                 m.sim_threads,
                  static_cast<unsigned long long>(m.warmup),
                  static_cast<unsigned long long>(m.rounds),
                  m.smoke ? "true" : "false", m.seconds,
@@ -330,10 +320,10 @@ int main(int argc, char** argv) {
         results.push_back(MeasureOne(sc, strategy, sim_threads, rounds,
                                      flags.phase_times));
         results.back().smoke = rounds < sc.default_rounds;
-        std::printf("measured %s/%s @%s threads: %.1f rounds/s\n",
+        std::printf("measured %s/%s @%u threads: %.1f rounds/s\n",
                     results.back().scenario.c_str(),
                     results.back().strategy.c_str(),
-                    results.back().sim_threads.c_str(),
+                    results.back().sim_threads,
                     results.back().rounds_per_sec);
       }
     }
@@ -344,7 +334,7 @@ int main(int argc, char** argv) {
                      "msgs/round"});
   for (const Measurement& m : results) {
     table.AddRow({m.scenario, m.strategy, std::to_string(m.peers),
-                  m.sim_threads, std::to_string(m.rounds),
+                  std::to_string(m.sim_threads), std::to_string(m.rounds),
                   TableWriter::FormatDouble(m.seconds, 4),
                   TableWriter::FormatDouble(m.rounds_per_sec, 5),
                   TableWriter::FormatDouble(m.msgs_per_round, 5)});
@@ -353,12 +343,10 @@ int main(int argc, char** argv) {
 
   if (flags.phase_times) {
     // Per-phase wall-clock breakdown (mean ms/round over the timed
-    // window).  plan, publish and drain carry the sharded engine's serial
+    // window).  plan, publish and drain carry the engine's serial
     // remainders (prefix sum, the order-sensitive publish slice, the
     // serial-fallback drain path); serial_frac = their combined share of
-    // the row, i.e. the Amdahl floor of the parallel phases.  Serial-
-    // engine rows charge whole actors (no plan/publish split), so those
-    // columns read 0 there.
+    // the row, i.e. the Amdahl floor of the parallel phases.
     std::vector<std::string> cols = {"scenario", "strategy", "sim threads"};
     for (size_t p = 0; p < kNumPhases; ++p) {
       cols.push_back(std::string(kPhaseNames[p]) + " ms");
@@ -368,7 +356,7 @@ int main(int argc, char** argv) {
     for (const Measurement& m : results) {
       if (!m.has_phases) continue;
       std::vector<std::string> row = {m.scenario, m.strategy,
-                                      m.sim_threads};
+                                      std::to_string(m.sim_threads)};
       for (size_t p = 0; p < kNumPhases; ++p) {
         row.push_back(TableWriter::FormatDouble(m.phase_ms[p], 4));
       }

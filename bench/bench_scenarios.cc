@@ -10,8 +10,6 @@
 // Each cell is ONE simulation run (no experiment-runner aggregation):
 // recovery is judged from the per-round hit-rate series via
 // ComputeRecoveryMetrics, which needs the series, not its tail mean.
-// All cells pin sim_shards = 4 so the sharded engine's task order -- and
-// therefore every recorded series -- is independent of --sim-threads.
 //
 // Shape checks:
 //   1. The outage engages and disrupts lookups: the online fraction
@@ -77,7 +75,6 @@ SystemConfig ScenarioConfigFor(pdht::core::DhtBackend backend,
   c.churn.enabled = true;
   c.seed = kSeed;
   c.sim_threads = 1;
-  c.sim_shards = 4;
   c.delivery_model = pdht::net::DeliveryModelKind::kLatency;
   c.latency.topology = pdht::net::LatencyTopology::kTransitStub;
   c.proximity_routing = true;
@@ -282,7 +279,7 @@ int main(int argc, char** argv) {
   pass &= resilient_wins;
 
   // 4. Thread-count determinism: the kademlia/resilient cell re-run at
-  //    sim_threads=4 (same 4 shards) must reproduce the snapshot and the
+  //    sim_threads=4 must reproduce the snapshot and the
   //    full hit-rate series bit for bit.
   {
     SystemConfig c =

@@ -1,7 +1,6 @@
 #include "app/news_service.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "metadata/predicate.h"
 
@@ -29,7 +28,6 @@ NewsService::NewsService(const NewsServiceOptions& options)
   }
   core::SystemConfig config = options.system;
   config.params.keys = dense_to_articles_.size();
-  assert(config.Validate().empty());
   system_ = std::make_unique<core::PdhtSystem>(config);
 }
 

@@ -5,7 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <thread>
+#include <stdexcept>
 
 #include "model/selection_model.h"
 #include "net/rtt_estimator.h"
@@ -42,13 +42,8 @@ class ScopedPhaseMs {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// sim_threads_auto work floor: below this expected per-round work (every
-/// peer is swept by churn/eviction, plus one task per expected query) the
-/// sharded engine's pool wake/barrier overhead outweighs the parallelism,
-/// so auto picks the serial engine.  Compared against a pure function of
-/// the configuration -- never the machine -- so the engine choice (and
-/// with it the random stream) is reproducible across hosts.
-constexpr double kAutoShardedWorkFloor = 16384.0;
+/// Replica Puts of proactively maintained entries never expire.
+constexpr double kForever = 1e15;
 
 }  // namespace
 
@@ -86,7 +81,9 @@ std::string SystemConfig::Validate() const {
 PdhtSystem::PdhtSystem(const SystemConfig& config)
     : config_(config), rng_(config.seed), engine_(1.0),
       autotuner_(config.autotuner) {
-  assert(config_.Validate().empty());
+  if (std::string err = config_.Validate(); !err.empty()) {
+    throw std::invalid_argument(err);
+  }
   // One sample per query: unbounded at paper scale, so retain nothing --
   // P² sketches track exactly the probabilities Snapshot() surfaces in
   // O(1) memory (moments stay exact), which is what keeps per-lookup
@@ -102,7 +99,7 @@ PdhtSystem::PdhtSystem(const SystemConfig& config)
   SelectDhtMembers();
   PreloadIndex();
   RegisterActors();
-  SetupShardedEngine();
+  SetupWorkers();
 }
 
 PdhtSystem::~PdhtSystem() = default;
@@ -352,7 +349,6 @@ void PdhtSystem::PreloadIndex() {
     default:
       return;  // TTL strategy starts empty; noIndex has no index.
   }
-  constexpr double kForever = 1e15;
   for (uint64_t r = 1; r <= preload; ++r) {
     uint64_t key = config_.strategy == Strategy::kIndexAll
                        ? r - 1
@@ -499,15 +495,7 @@ uint64_t PdhtSystem::StatisticalReplicaFloodCost(Rng& rng) {
   return whole + (rng.Bernoulli(frac) ? 1 : 0);
 }
 
-void PdhtSystem::InsertIntoIndex(uint64_t key, double now, double ttl) {
-  // Route the insert to the responsible region (cSIndx) ...
-  net::PeerId entry = DhtEntryPoint(rng_, net::kInvalidPeer);
-  if (entry == net::kInvalidPeer) return;
-  overlay::LookupResult route = DhtLookup(entry, key);
-  (void)route;
-  // ... then flood the replica subnetwork with the new value (repl * dup2).
-  network_->CountOnly(net::MessageType::kReplicaPush,
-                      StatisticalReplicaFloodCost(rng_));
+void PdhtSystem::PutAtReplicas(uint64_t key, double now, double ttl) {
   for (net::PeerId rep : IndexReplicasOf(key)) {
     if (!network_->IsOnline(rep)) continue;  // offline replicas pull later
     uint64_t displaced = nodes_[rep].index().Put(key, now, ttl);
@@ -516,200 +504,45 @@ void PdhtSystem::InsertIntoIndex(uint64_t key, double now, double ttl) {
   }
 }
 
-QueryOutcome PdhtSystem::RunUnstructuredQuery(net::PeerId origin,
-                                              uint64_t key) {
-  QueryOutcome out;
-  out.origin = origin;
-  out.used_unstructured = true;
-  overlay::WalkResult wr = walk_->Search(origin, key);
-  out.found = wr.found;
-  out.unstructured_messages = wr.messages;
-  if (wr.found) {
-    autotuner_.ObserveUnstructuredSearch(
-        static_cast<double>(wr.messages));
-  }
-  return out;
-}
-
-QueryOutcome PdhtSystem::RunIndexFirstQuery(net::PeerId origin, uint64_t key,
-                                            bool ttl_semantics) {
-  QueryOutcome out;
-  out.origin = origin;
-  const double now = engine_.now();
-  uint64_t before = network_->TotalMessages();
-  // Lookup-RTT bracket: the index phase's messages are sequential hops,
-  // so its serialized latency is the delta of the network's running
-  // link-delay sum (0 under immediate delivery).
-  const double lat_before = network_->total_latency_s();
-
-  net::PeerId entry = DhtEntryPoint(rng_, origin);
-  if (entry == net::kInvalidPeer) {
-    // DHT unreachable (everything offline): degrade to broadcast.
-    QueryOutcome fallback = RunUnstructuredQuery(origin, key);
-    fallback.index_messages = network_->TotalMessages() - before -
-                              fallback.unstructured_messages;
-    return fallback;
-  }
-
-  overlay::LookupResult route = DhtLookup(entry, key);
-  if (network_->deferred_delivery() &&
-      route.terminus != net::kInvalidPeer) {
-    // Paired samples: measured serialized RTT of this lookup vs the
-    // direct origin->terminus round trip -- their mean ratio is the
-    // routing stretch bench_latency reports.  Timeout costing folds
-    // failed-probe waits into the same latency sum, so the RTT bracket
-    // prices them automatically.
-    lookup_rtt_ms_.Add((network_->total_latency_s() - lat_before) * 1e3);
-    lookup_direct_ms_.Add(delivery_->RttMs(origin, route.terminus));
-    lookup_hops_.Add(static_cast<double>(route.hops));
-    for (uint32_t k = 0; k < route.hop_rtt_n; ++k) {
-      hop_rtt_ms_[k].Add(route.hop_rtt_ms[k]);
-    }
-  }
-  net::PeerId holder = net::kInvalidPeer;
-  if (route.success && route.terminus != net::kInvalidPeer &&
-      nodes_[route.terminus].index().Contains(key, now)) {
-    holder = route.terminus;
-  }
-  if (holder == net::kInvalidPeer) {
-    // Terminus cannot answer: flood the replica subnetwork (Section 5.1;
-    // purging leaves replicas unsynchronized, so siblings may still hold
-    // the key).
-    network_->CountOnly(net::MessageType::kReplicaFlood,
-                        StatisticalReplicaFloodCost(rng_));
-    for (net::PeerId rep : IndexReplicasOf(key)) {
-      if (!network_->IsOnline(rep)) continue;
-      if (nodes_[rep].index().Contains(key, now)) {
-        holder = rep;
-        break;
-      }
-    }
-  }
-
-  if (holder != net::kInvalidPeer) {
-    if (ttl_semantics) {
-      nodes_[holder].index().Touch(key, now, EffectiveKeyTtl());
-    }
-    out.found = true;
-    out.answered_from_index = true;
-    out.index_messages = network_->TotalMessages() - before;
-    autotuner_.ObserveIndexSearch(
-        static_cast<double>(out.index_messages));
-    return out;
-  }
-
-  out.index_messages = network_->TotalMessages() - before;
-  autotuner_.ObserveIndexSearch(static_cast<double>(out.index_messages));
-  // Miss: broadcast search, then (TTL algorithm only) insert the result.
-  QueryOutcome walk_out = RunUnstructuredQuery(origin, key);
-  out.used_unstructured = true;
-  out.found = walk_out.found;
-  out.unstructured_messages = walk_out.unstructured_messages;
-  if (ttl_semantics && out.found) {
-    uint64_t before_insert = network_->TotalMessages();
-    InsertIntoIndex(key, now, EffectiveKeyTtl());
-    out.index_messages += network_->TotalMessages() - before_insert;
-  }
-  return out;
-}
-
 QueryOutcome PdhtSystem::ExecuteQuery(uint64_t key) {
-  net::PeerId origin = RandomOnlinePeer();
   QueryOutcome out;
-  if (origin == net::kInvalidPeer) return out;
-
-  switch (config_.strategy) {
-    case Strategy::kNoIndex:
-      out = RunUnstructuredQuery(origin, key);
-      break;
-    case Strategy::kIndexAll:
-      out = RunIndexFirstQuery(origin, key, /*ttl_semantics=*/false);
-      break;
-    case Strategy::kPartialIdeal: {
-      // Oracle: every peer knows whether the key is worth indexing.
-      bool indexed = workload_->RankOf(key) <= oracle_max_rank_;
-      out = indexed ? RunIndexFirstQuery(origin, key, false)
-                    : RunUnstructuredQuery(origin, key);
-      break;
-    }
-    case Strategy::kPartialTtl:
-      out = RunIndexFirstQuery(origin, key, /*ttl_semantics=*/true);
-      break;
-  }
-  nodes_[origin].RecordQuery(out.answered_from_index);
+  out.origin = RandomOnlinePeer();
+  if (out.origin == net::kInvalidPeer) return out;
+  // One planned task run inline on the main stream and the serial
+  // walker; no lane is bound, so its traffic and deferred deliveries hit
+  // the shared network directly.
+  const QueryTask t = MakeQueryTask(key, out.origin);
+  QueryTaskResult r;
+  overlay::SetCurrentLookupSlot(0);
+  RunQueryTask(t, rng_, *walk_, &replica_scratch_, &r);
+  PublishQueryResult(t, r, engine_.now());
+  nodes_[t.origin].RecordQuery(r.answered_from_index);
+  out.found = r.found;
+  out.answered_from_index = r.answered_from_index;
+  out.used_unstructured = r.used_unstructured;
+  out.index_messages = r.index_messages;
+  out.unstructured_messages = r.unstructured_messages;
   return out;
 }
 
-void PdhtSystem::RunQueryActor(sim::RoundContext& ctx) {
-  if (sharded_) {
-    RunShardedQueryActor(ctx);
-    return;
-  }
-  ScopedPhaseMs timer(&engine_, kPhaseQuery);
-  const auto& p = config_.params;
-  round_queries_ = 0;
-  round_hits_ = 0;
-  if (config_.trace != nullptr) {
-    // Trace replay: every entry tagged with this round, verbatim.
-    auto [begin, end] = config_.trace->RoundRange(ctx.round);
-    for (size_t i = begin; i < end; ++i) {
-      uint64_t key = config_.trace->entries()[i].key;
-      if (key >= p.keys) continue;  // foreign trace entries are skipped
-      QueryOutcome out = ExecuteQuery(key);
-      ++round_queries_;
-      if (out.answered_from_index) ++round_hits_;
-    }
-    return;
-  }
-  uint64_t count = workload_->SampleQueryCount(p.num_peers, p.f_qry);
-  for (uint64_t q = 0; q < count; ++q) {
-    uint64_t key = workload_->SampleKey();
-    QueryOutcome out = ExecuteQuery(key);
-    ++round_queries_;
-    if (out.answered_from_index) ++round_hits_;
-  }
-}
-
-// --- Sharded round engine -------------------------------------------------
+// --- Round engine -----------------------------------------------------------
 //
-// The parallel query phase runs in three steps (docs/architecture.md):
-//  1. PLAN (serial): draw the round's query count, keys and origins from
-//     the main workload/Rng streams -- one deterministic sequence no
+// Every task phase (maintenance, queries, updates) runs in three steps
+// (docs/architecture.md):
+//  1. PLAN (serial): decide the round's task list -- the same sequence no
 //     matter how many threads or shards run the phase.
-//  2. EXECUTE (parallel): the worker pool claims tasks; each task routes
-//     against the round-start snapshot of the index/overlay state, draws
-//     from its own Rng(Mix64(HashCombine(round_seed, task))), counts
-//     messages into its worker's lane, and buffers every state mutation.
-//  3. PUBLISH (serial): lane counter deltas merge (order-free), then each
-//     task's order-sensitive effects replay in global task order --
-//     deferred deliveries, autotuner observations, Touch/insert Puts,
-//     RTT samples, per-origin RecordQuery -- so the result is a pure
-//     function of the task list, independent of worker assignment.
+//  2. EXECUTE (parallel, inline at one thread): the worker pool claims
+//     chunks of tasks; each task draws from its own Rng derived from the
+//     round seed and the task index, counts messages into its worker's
+//     lane, and buffers every state mutation.
+//  3. PUBLISH (serial): lane counter deltas merge (order-free), then
+//     order-sensitive effects replay in global task order -- deferred
+//     deliveries, autotuner observations, Touch/insert Puts, RTT
+//     samples -- so the result is a pure function of the task list,
+//     independent of worker assignment.
 
-void PdhtSystem::SetupShardedEngine() {
-  uint32_t threads = std::max<uint32_t>(1, config_.sim_threads);
-  if (config_.sim_threads_auto) {
-    // Auto engine selection.  The serial/sharded decision compares the
-    // configuration's expected per-round work against a fixed floor --
-    // never the machine -- because the two engines are distinct random
-    // streams.  The *thread count* is hardware-derived (capped so a
-    // many-core host doesn't spin up workers the phase sizes can't
-    // feed): sharded results are bit-identical at any thread count, so
-    // this affects wall-clock only.
-    const auto& p = config_.params;
-    const double work =
-        static_cast<double>(p.num_peers) * (1.0 + p.f_qry);
-    if (work < kAutoShardedWorkFloor) {
-      sharded_ = false;
-      return;
-    }
-    const unsigned hw = std::thread::hardware_concurrency();
-    threads = std::clamp<uint32_t>(hw == 0 ? 1 : hw, 1, 8);
-    sharded_ = true;
-  } else {
-    sharded_ = config_.sim_threads > 1 || config_.sim_shards > 0;
-    if (!sharded_) return;
-  }
+void PdhtSystem::SetupWorkers() {
+  const uint32_t threads = std::max<uint32_t>(1, config_.sim_threads);
   num_shards_ = config_.sim_shards > 0 ? config_.sim_shards : 4 * threads;
   pool_ = std::make_unique<sim::ShardPool>(threads);
   lanes_.resize(threads);
@@ -721,9 +554,9 @@ void PdhtSystem::SetupShardedEngine() {
   walk_slots_.reserve(threads);
   for (uint32_t w = 0; w < threads; ++w) {
     // One searcher per worker so walk scratch never crosses threads.  The
-    // searcher's own stream is never used -- sharded tasks always pass
-    // their derived task Rng -- and seeding it from a hash (not a
-    // rng_.Fork()) keeps the main stream independent of the thread count.
+    // searcher's own stream is never used -- tasks always pass their
+    // derived task Rng -- and seeding it from a hash (not a rng_.Fork())
+    // keeps the main stream independent of the thread count.
     walk_slots_.push_back(std::make_unique<overlay::RandomWalkSearch>(
         graph_.get(), network_.get(), oracle, config_.walk,
         Rng(Mix64(HashCombine(config_.seed, 0x77616c6bULL + w)))));
@@ -759,6 +592,71 @@ void PdhtSystem::SetupShardedEngine() {
   });
 }
 
+template <typename Body>
+void PdhtSystem::RunLanePhase(uint32_t num_tasks, const Body& body) {
+  const size_t num_counters = engine_.counters().NumCounters();
+  for (net::ShardLane& lane : lanes_) lane.Prepare(num_counters);
+  // Contiguous chunks amortize the lane bind and slice bookkeeping over
+  // many tasks.  A chunk's deferred log is its tasks' effects in task
+  // order, so replaying chunks in order is replaying tasks in order: the
+  // chunk size changes scheduling only, never results.
+  const uint32_t threads = pool_->num_threads();
+  const uint32_t chunk =
+      std::clamp<uint32_t>(num_tasks / (threads * 16), 1, 256);
+  const uint32_t num_chunks = (num_tasks + chunk - 1) / chunk;
+  phase_slices_.resize(num_chunks);
+  pool_->Run(num_chunks, [&](uint32_t w, uint32_t c) {
+    net::ShardLane& lane = lanes_[w];
+    PhaseSlice& s = phase_slices_[c];
+    s.lane = w;
+    s.def_begin = static_cast<uint32_t>(lane.deferred.size());
+    overlay::SetCurrentLookupSlot(w);
+    network_->BeginLane(&lane);
+    const uint32_t end = std::min(num_tasks, (c + 1) * chunk);
+    for (uint32_t task = c * chunk; task < end; ++task) {
+      // Zero the bracket accumulator so a task's latency deltas are
+      // computed from a task-invariant base: (frozen_global + x) -
+      // frozen_global rounds the same way no matter which tasks this
+      // worker ran before.  The charged latency itself replays from the
+      // deferred log at commit.
+      lane.latency_s = 0.0;
+      body(w, task);
+    }
+    network_->EndLane();
+    s.def_end = static_cast<uint32_t>(lane.deferred.size());
+  });
+}
+
+void PdhtSystem::CommitLanePhase() {
+  MergeLaneCounters();
+  // Deferred network effects (fp latency sums, capped histograms, event
+  // scheduling, RTO samples) touch no state the per-task publish steps
+  // read or write, so replaying them ahead of those steps -- still in
+  // global task order -- is the same as interleaving them.
+  for (const PhaseSlice& s : phase_slices_) {
+    const std::vector<net::ShardLane::Deferred>& log = lanes_[s.lane].deferred;
+    for (uint32_t i = s.def_begin; i < s.def_end; ++i) {
+      network_->CommitDeferred(log[i]);
+    }
+  }
+}
+
+void PdhtSystem::MergeLaneCounters() {
+  // Integer adds commute, so lane-major merge order is immaterial (and
+  // cheap -- one flat vector add per lane).  The audit knob merges in
+  // reverse to prove the claim stays true (the determinism suite pins
+  // shuffled-vs-default snapshots bit for bit).
+  if (config_.debug_shuffle_publish) {
+    for (auto it = lanes_.rbegin(); it != lanes_.rend(); ++it) {
+      engine_.counters().MergeDelta(it->counter_delta);
+    }
+    return;
+  }
+  for (const net::ShardLane& lane : lanes_) {
+    engine_.counters().MergeDelta(lane.counter_delta);
+  }
+}
+
 PdhtSystem::QueryTask PdhtSystem::MakeQueryTask(uint64_t key,
                                                 net::PeerId origin) const {
   QueryTask t;
@@ -771,6 +669,7 @@ PdhtSystem::QueryTask PdhtSystem::MakeQueryTask(uint64_t key,
       t.index_first = true;
       break;
     case Strategy::kPartialIdeal:
+      // Oracle: every peer knows whether the key is worth indexing.
       t.index_first = workload_->RankOf(key) <= oracle_max_rank_;
       break;
     case Strategy::kPartialTtl:
@@ -872,10 +771,7 @@ void PdhtSystem::PlanQueryTasks(sim::RoundContext& ctx) {
              });
 }
 
-void PdhtSystem::RunShardedQueryActor(sim::RoundContext& ctx) {
-  // The planner's per-peer streams derive from the round seed, so set it
-  // before planning (task streams hang off it too, as before).
-  round_seed_ = Mix64(HashCombine(config_.seed, ctx.round));
+void PdhtSystem::RunQueryActor(sim::RoundContext& ctx) {
   {
     ScopedPhaseMs timer(&engine_, kPhasePlan);
     PlanQueryTasks(ctx);
@@ -886,78 +782,76 @@ void PdhtSystem::RunShardedQueryActor(sim::RoundContext& ctx) {
   // Warm lazily-built shared read state serially (e.g. Chord's mutable
   // members cache) so the parallel phase only ever reads it.
   if (overlay_) overlay_->members();
-  const size_t num_counters = engine_.counters().NumCounters();
-  for (net::ShardLane& lane : lanes_) lane.Prepare(num_counters);
   query_results_.resize(query_tasks_.size());
   {
     ScopedPhaseMs timer(&engine_, kPhaseQuery);
-    pool_->Run(static_cast<uint32_t>(query_tasks_.size()),
-               [this](uint32_t w, uint32_t q) { RunQueryTask(w, q); });
+    RunLanePhase(static_cast<uint32_t>(query_tasks_.size()),
+                 [this](uint32_t w, uint32_t q) {
+                   const QueryTask& t = query_tasks_[q];
+                   QueryTaskResult& r = query_results_[q];
+                   r = QueryTaskResult{};
+                   if (t.origin == net::kInvalidPeer) return;  // none online
+                   // The task's whole random behaviour hangs off this one
+                   // derived stream: any worker running it draws the same
+                   // values.
+                   Rng rng(Mix64(HashCombine(round_seed_, q)));
+                   RunQueryTask(t, rng, *walk_slots_[w], &replica_slots_[w],
+                                &r);
+                 });
   }
   ScopedPhaseMs timer(&engine_, kPhasePublish);
   PublishQueryResults();
 }
 
-void PdhtSystem::RunQueryTask(uint32_t worker, uint32_t task_index) {
-  const QueryTask& t = query_tasks_[task_index];
-  QueryTaskResult& r = query_results_[task_index];
-  r = QueryTaskResult{};
-  r.lane = worker;
-  if (t.origin == net::kInvalidPeer) return;  // nothing online at planning
-  overlay::SetCurrentLookupSlot(worker);
-  net::ShardLane& lane = lanes_[worker];
-  // Reset the bracket accumulator so latency deltas are computed from a
-  // task-invariant base: (frozen_global + x) - frozen_global rounds the
-  // same way no matter which worker ran the previous tasks.  The charged
-  // latency itself is not lost -- CommitDeferred replays it from the
-  // deferred log at publish.
-  lane.latency_s = 0.0;
-  network_->BeginLane(&lane);
-  r.def_begin = static_cast<uint32_t>(lane.deferred.size());
-  // The task's whole random behaviour hangs off this one derived stream:
-  // any worker running this task draws the same values.
-  Rng rng(Mix64(HashCombine(round_seed_, task_index)));
+void PdhtSystem::RunQueryTask(const QueryTask& t, Rng& rng,
+                              overlay::RandomWalkSearch& walk,
+                              std::vector<net::PeerId>* replicas,
+                              QueryTaskResult* r) {
   if (t.index_first) {
-    ShardIndexFirstQuery(rng, worker, t.origin, t.key, t.ttl_semantics, &r);
+    IndexFirstQuery(t, rng, walk, replicas, r);
   } else {
-    ShardUnstructuredQuery(rng, worker, t.origin, t.key, &r);
+    UnstructuredQuery(t, rng, walk, r);
   }
-  r.def_end = static_cast<uint32_t>(lane.deferred.size());
-  network_->EndLane();
 }
 
-void PdhtSystem::ShardUnstructuredQuery(Rng& rng, uint32_t worker,
-                                        net::PeerId origin, uint64_t key,
-                                        QueryTaskResult* r) {
-  overlay::WalkResult wr = walk_slots_[worker]->Search(origin, key, rng);
+void PdhtSystem::UnstructuredQuery(const QueryTask& t, Rng& rng,
+                                   overlay::RandomWalkSearch& walk,
+                                   QueryTaskResult* r) {
+  overlay::WalkResult wr = walk.Search(t.origin, t.key, rng);
+  r->used_unstructured = true;
   r->found = wr.found;
-  if (wr.found) r->unstructured_obs = static_cast<double>(wr.messages);
+  r->unstructured_messages = wr.messages;
 }
 
-void PdhtSystem::ShardIndexFirstQuery(Rng& rng, uint32_t worker,
-                                      net::PeerId origin, uint64_t key,
-                                      bool ttl_semantics,
-                                      QueryTaskResult* r) {
+void PdhtSystem::IndexFirstQuery(const QueryTask& t, Rng& rng,
+                                 overlay::RandomWalkSearch& walk,
+                                 std::vector<net::PeerId>* replicas,
+                                 QueryTaskResult* r) {
   const double now = engine_.now();
-  // Lane-relative brackets: the shared counters are frozen during the
-  // phase, so the observed before/after deltas are this task's own
-  // traffic/latency -- same semantics as the serial brackets.
+  // Observed brackets: inside a lane phase the shared counters are
+  // frozen, so the before/after deltas are this task's own traffic and
+  // latency; outside one (ExecuteQuery) they are the plain totals.
   const uint64_t before = network_->ObservedTotalMessages();
   const double lat_before = network_->ObservedLatencyS();
 
-  net::PeerId entry = DhtEntryPoint(rng, origin);
+  net::PeerId entry = DhtEntryPoint(rng, t.origin);
   if (entry == net::kInvalidPeer) {
     // DHT unreachable (everything offline): degrade to broadcast.
-    ShardUnstructuredQuery(rng, worker, origin, key, r);
+    UnstructuredQuery(t, rng, walk, r);
     return;
   }
 
-  overlay::LookupResult route = DhtLookup(entry, key);
+  overlay::LookupResult route = DhtLookup(entry, t.key);
   if (network_->deferred_delivery() &&
       route.terminus != net::kInvalidPeer) {
+    // Paired samples: measured serialized RTT of this lookup vs the
+    // direct origin->terminus round trip -- their mean ratio is the
+    // routing stretch bench_latency reports.  Timeout costing folds
+    // failed-probe waits into the same latency sum, so the RTT bracket
+    // prices them automatically.
     r->has_rtt = true;
     r->rtt_ms = (network_->ObservedLatencyS() - lat_before) * 1e3;
-    r->direct_ms = delivery_->RttMs(origin, route.terminus);
+    r->direct_ms = delivery_->RttMs(t.origin, route.terminus);
     r->hops = static_cast<double>(route.hops);
     r->hop_rtt_n = route.hop_rtt_n;
     for (uint32_t k = 0; k < route.hop_rtt_n; ++k) {
@@ -966,130 +860,107 @@ void PdhtSystem::ShardIndexFirstQuery(Rng& rng, uint32_t worker,
   }
   net::PeerId holder = net::kInvalidPeer;
   if (route.success && route.terminus != net::kInvalidPeer &&
-      nodes_[route.terminus].index().Contains(key, now)) {
+      nodes_[route.terminus].index().Contains(t.key, now)) {
     holder = route.terminus;
   }
   if (holder == net::kInvalidPeer) {
+    // Terminus cannot answer: flood the replica subnetwork (Section 5.1;
+    // purging leaves replicas unsynchronized, so siblings may still hold
+    // the key).
     network_->CountOnly(net::MessageType::kReplicaFlood,
                         StatisticalReplicaFloodCost(rng));
-    for (net::PeerId rep :
-         IndexReplicasInto(key, &replica_slots_[worker])) {
+    for (net::PeerId rep : IndexReplicasInto(t.key, replicas)) {
       if (!network_->IsOnline(rep)) continue;
-      if (nodes_[rep].index().Contains(key, now)) {
+      if (nodes_[rep].index().Contains(t.key, now)) {
         holder = rep;
         break;
       }
     }
   }
+  r->index_messages = network_->ObservedTotalMessages() - before;
+  r->index_obs = static_cast<double>(r->index_messages);
 
   if (holder != net::kInvalidPeer) {
-    if (ttl_semantics) {
+    if (t.ttl_semantics) {
       // Touch applies at publish (in task order, against live state).
       r->has_touch = true;
       r->touch_holder = holder;
     }
     r->found = true;
     r->answered_from_index = true;
-    r->index_obs =
-        static_cast<double>(network_->ObservedTotalMessages() - before);
     return;
   }
 
-  r->index_obs =
-      static_cast<double>(network_->ObservedTotalMessages() - before);
-  ShardUnstructuredQuery(rng, worker, origin, key, r);
-  if (ttl_semantics && r->found) {
-    // Miss-then-found re-insertion: route + statistical flood now (wire
-    // cost belongs to this task), replica Puts at publish.
+  // Miss: broadcast search, then (TTL algorithm only) insert the result.
+  UnstructuredQuery(t, rng, walk, r);
+  if (t.ttl_semantics && r->found) {
+    // Re-insertion: route to the responsible region (cSIndx) and flood
+    // the replica subnetwork now (the wire cost belongs to this task);
+    // the replica Puts wait for publish.
+    const uint64_t before_insert = network_->ObservedTotalMessages();
     net::PeerId insert_entry = DhtEntryPoint(rng, net::kInvalidPeer);
     if (insert_entry != net::kInvalidPeer) {
-      DhtLookup(insert_entry, key);
+      DhtLookup(insert_entry, t.key);
       network_->CountOnly(net::MessageType::kReplicaPush,
                           StatisticalReplicaFloodCost(rng));
       r->has_insert = true;
     }
+    r->index_messages += network_->ObservedTotalMessages() - before_insert;
   }
 }
 
-void PdhtSystem::MergeLaneCounters() {
-  // Integer adds commute, so lane-major merge order is immaterial (and
-  // cheap -- one flat vector add per lane).  The audit knob merges in
-  // reverse to prove the claim stays true (the determinism suite pins
-  // shuffled-vs-default snapshots bit for bit).
-  if (config_.debug_shuffle_publish) {
-    for (auto it = lanes_.rbegin(); it != lanes_.rend(); ++it) {
-      engine_.counters().MergeDelta(it->counter_delta);
-    }
-    return;
+void PdhtSystem::PublishQueryResult(const QueryTask& t,
+                                    const QueryTaskResult& r, double now) {
+  // (1) Autotuner observations, index before unstructured (the per-query
+  //     order).
+  if (r.index_obs >= 0.0) autotuner_.ObserveIndexSearch(r.index_obs);
+  if (r.used_unstructured && r.found) {
+    autotuner_.ObserveUnstructuredSearch(
+        static_cast<double>(r.unstructured_messages));
   }
-  for (const net::ShardLane& lane : lanes_) {
-    engine_.counters().MergeDelta(lane.counter_delta);
+  // (2) Index mutations, with the TTL in force at this publish point (the
+  //     autotuner may have just moved it).
+  if (r.has_touch) {
+    nodes_[r.touch_holder].index().Touch(t.key, now, EffectiveKeyTtl());
+  }
+  if (r.has_insert) PutAtReplicas(t.key, now, EffectiveKeyTtl());
+  // (3) Latency samples (capped histograms subsample deterministically in
+  //     arrival order).
+  if (r.has_rtt) {
+    lookup_rtt_ms_.Add(r.rtt_ms);
+    lookup_direct_ms_.Add(r.direct_ms);
+    lookup_hops_.Add(r.hops);
+    for (uint32_t k = 0; k < r.hop_rtt_n; ++k) {
+      hop_rtt_ms_[k].Add(r.hop_rtt_ms[k]);
+    }
   }
 }
 
 void PdhtSystem::PublishQueryResults() {
   const double now = engine_.now();
-  // Commutative slice 1: lane counter deltas (order-free).
-  MergeLaneCounters();
-  // Ordered slice: everything below is genuinely order-sensitive under
-  // the bit-identity contract -- CommitDeferred feeds floating-point
-  // latency sums, capped/P^2 histograms and event scheduling; the
-  // autotuner EWMAs and the Touch/Put index mutations see state the
-  // previous task may have moved -- so it replays serially in global
-  // task order, exactly as a serial engine would interleave it.
+  CommitLanePhase();
+  // Ordered slice: autotuner EWMAs and the Touch/Put index mutations see
+  // state the previous task may have moved, so they apply serially in
+  // global task order.
   for (size_t q = 0; q < query_tasks_.size(); ++q) {
-    const QueryTask& t = query_tasks_[q];
-    const QueryTaskResult& r = query_results_[q];
-    // (1) Order-sensitive network effects (fp latency sums, capped
-    //     histograms, event scheduling) replay in task order.
-    for (uint32_t i = r.def_begin; i < r.def_end; ++i) {
-      network_->CommitDeferred(lanes_[r.lane].deferred[i]);
-    }
-    // (2) Autotuner observations, index before unstructured (the serial
-    //     per-query order).
-    if (r.index_obs >= 0.0) autotuner_.ObserveIndexSearch(r.index_obs);
-    if (r.unstructured_obs >= 0.0) {
-      autotuner_.ObserveUnstructuredSearch(r.unstructured_obs);
-    }
-    // (3) Index mutations, with the TTL in force at this publish point
-    //     (the autotuner may have just moved it).
-    if (r.has_touch) {
-      nodes_[r.touch_holder].index().Touch(t.key, now, EffectiveKeyTtl());
-    }
-    if (r.has_insert) {
-      const double ttl = EffectiveKeyTtl();
-      for (net::PeerId rep : IndexReplicasOf(t.key)) {
-        if (!network_->IsOnline(rep)) continue;
-        uint64_t displaced = nodes_[rep].index().Put(t.key, now, ttl);
-        if (displaced != TtlIndex::kNoKey) DecResidency(displaced);
-        IncResidency(t.key);
-      }
-    }
-    // (4) Latency samples (capped histograms subsample deterministically
-    //     in arrival order).
-    if (r.has_rtt) {
-      lookup_rtt_ms_.Add(r.rtt_ms);
-      lookup_direct_ms_.Add(r.direct_ms);
-      lookup_hops_.Add(r.hops);
-      for (uint32_t k = 0; k < r.hop_rtt_n; ++k) {
-        hop_rtt_ms_[k].Add(r.hop_rtt_ms[k]);
-      }
-    }
+    PublishQueryResult(query_tasks_[q], query_results_[q], now);
   }
-  // Commutative slice 2 (parallel): per-origin stats and the round's
+  // Commutative slice (parallel): per-origin stats and the round's
   // hit-rate tally.  RecordQuery is integer increments on the origin's
-  // node, so partitioning tasks by origin shard -- a pure function of
-  // the origin id -- gives every shard task a disjoint node set, and the
-  // per-shard query/hit partials sum serially after the barrier.  Scan
-  // order within a shard is task order, though nothing here needs it.
-  publish_queries_.assign(num_shards_, 0);
-  publish_hits_.assign(num_shards_, 0);
+  // node, so partitioning tasks by origin -- a pure function of the
+  // origin id -- gives every partition a disjoint node set, and the
+  // per-partition query/hit partials sum serially after the barrier.
+  // One partition per worker: each partition scans the whole task list,
+  // so more partitions than workers would only repeat the scan.
+  const uint32_t parts = pool_->num_threads();
+  publish_queries_.assign(parts, 0);
+  publish_hits_.assign(parts, 0);
   const bool shuffle = config_.debug_shuffle_publish;
-  pool_->Run(num_shards_, [this, shuffle](uint32_t /*w*/, uint32_t s) {
-    // Audit knob: visit shards in reversed index order (shard s processes
-    // partition num_shards-1-s).  The partition itself is unchanged, so
+  pool_->Run(parts, [this, parts, shuffle](uint32_t /*w*/, uint32_t p) {
+    // Audit knob: visit partitions in reversed order (task p processes
+    // partition parts-1-p).  The partition itself is unchanged, so
     // results must be bit-identical.
-    const uint32_t shard = shuffle ? num_shards_ - 1 - s : s;
+    const uint32_t part = shuffle ? parts - 1 - p : p;
     uint64_t queries = 0;
     uint64_t hits = 0;
     for (size_t q = 0; q < query_tasks_.size(); ++q) {
@@ -1097,8 +968,8 @@ void PdhtSystem::PublishQueryResults() {
       const uint32_t home =
           origin == net::kInvalidPeer
               ? 0
-              : static_cast<uint32_t>(Mix64(origin) % num_shards_);
-      if (home != shard) continue;
+              : static_cast<uint32_t>(Mix64(origin) % parts);
+      if (home != part) continue;
       const bool hit = query_results_[q].answered_from_index;
       if (origin != net::kInvalidPeer) {
         nodes_[origin].RecordQuery(hit);
@@ -1106,22 +977,34 @@ void PdhtSystem::PublishQueryResults() {
       ++queries;
       if (hit) ++hits;
     }
-    publish_queries_[shard] = queries;
-    publish_hits_[shard] = hits;
+    publish_queries_[part] = queries;
+    publish_hits_[part] = hits;
   });
-  for (uint32_t s = 0; s < num_shards_; ++s) {
-    round_queries_ += publish_queries_[s];
-    round_hits_ += publish_hits_[s];
+  for (uint32_t p = 0; p < parts; ++p) {
+    round_queries_ += publish_queries_[p];
+    round_hits_ += publish_hits_[p];
   }
 }
 
-void PdhtSystem::RunMaintenanceActor(sim::RoundContext& ctx) {
+void PdhtSystem::RunMaintenanceActor(sim::RoundContext& /*ctx*/) {
   if (config_.strategy == Strategy::kNoIndex || !overlay_) return;
   ScopedPhaseMs timer(&engine_, kPhaseMaint);
-  if (sharded_) {
-    RunShardedMaintenance(ctx);
-  } else {
-    overlay_->RunMaintenanceRound(config_.params.env);
+  // PLAN (serial): the overlay consumes its fractional budgets in
+  // canonical member order and freezes the round's task list.  EXECUTE:
+  // each task probes/repairs exactly one member's own routing table
+  // against the frozen membership snapshot.  PUBLISH: lane merge and
+  // deferred replay, then the overlay folds its per-task repair stats.
+  const uint32_t num_tasks =
+      overlay_->PlanMaintenanceRound(config_.params.env);
+  if (num_tasks > 0) {
+    const uint64_t maint_seed =
+        Mix64(HashCombine(round_seed_, 0x6d61696e74ULL));  // "maint"
+    RunLanePhase(num_tasks, [this, maint_seed](uint32_t, uint32_t task) {
+      Rng rng(Mix64(HashCombine(maint_seed, task)));
+      overlay_->ExecuteMaintenanceTask(task, rng);
+    });
+    CommitLanePhase();
+    overlay_->FinishMaintenanceRound();
   }
   // Feed the TTL autotuner the round's maintenance traffic: probes per
   // round per currently indexed key approximate cRtn (Eq. 8).
@@ -1132,48 +1015,7 @@ void PdhtSystem::RunMaintenanceActor(sim::RoundContext& ctx) {
       static_cast<double>(delta), static_cast<double>(residency_.size()));
 }
 
-void PdhtSystem::RunShardedMaintenance(sim::RoundContext& ctx) {
-  // PLAN (serial): the overlay consumes its fractional budgets in
-  // canonical member order and freezes the round's task list -- one
-  // deterministic (member, probe-count) sequence no matter how many
-  // threads run the phase.
-  const uint32_t num_tasks =
-      overlay_->PlanMaintenanceRound(config_.params.env);
-  if (num_tasks == 0) return;
-  round_seed_ = Mix64(HashCombine(config_.seed, ctx.round));
-  const uint64_t maint_seed =
-      Mix64(HashCombine(round_seed_, 0x6d61696e74ULL));  // "maint"
-  const size_t num_counters = engine_.counters().NumCounters();
-  for (net::ShardLane& lane : lanes_) lane.Prepare(num_counters);
-  maint_slices_.resize(num_tasks);
-  // EXECUTE (parallel): each task probes/repairs exactly one member's
-  // own routing table against the frozen membership snapshot, counts
-  // into its worker's lane, and draws from its own derived stream.
-  pool_->Run(num_tasks, [this, maint_seed](uint32_t w, uint32_t task) {
-    net::ShardLane& lane = lanes_[w];
-    lane.latency_s = 0.0;
-    network_->BeginLane(&lane);
-    PhaseSlice& s = maint_slices_[task];
-    s.lane = w;
-    s.def_begin = static_cast<uint32_t>(lane.deferred.size());
-    Rng rng(Mix64(HashCombine(maint_seed, task)));
-    overlay_->ExecuteMaintenanceTask(task, rng);
-    s.def_end = static_cast<uint32_t>(lane.deferred.size());
-    network_->EndLane();
-  });
-  // PUBLISH (serial): lane counter deltas merge (order-free integer
-  // adds), deferred network effects replay in global task order, then
-  // the overlay folds its per-task repair stats.
-  MergeLaneCounters();
-  for (const PhaseSlice& s : maint_slices_) {
-    for (uint32_t i = s.def_begin; i < s.def_end; ++i) {
-      network_->CommitDeferred(lanes_[s.lane].deferred[i]);
-    }
-  }
-  overlay_->FinishMaintenanceRound();
-}
-
-void PdhtSystem::RunUpdateActor(sim::RoundContext& ctx) {
+void PdhtSystem::RunUpdateActor(sim::RoundContext& /*ctx*/) {
   // Proactive updates exist only while the index is proactively maintained
   // (Section 5.1 removes cUpd: the TTL algorithm refreshes values on
   // miss-triggered re-insertion).
@@ -1188,38 +1030,8 @@ void PdhtSystem::RunUpdateActor(sim::RoundContext& ctx) {
   if (indexed_keys == 0) return;
   ScopedPhaseMs timer(&engine_, kPhaseUpdate);
   update_carry_ += static_cast<double>(indexed_keys) * p.f_upd;
-  if (sharded_) {
-    RunShardedUpdateActor(ctx, indexed_keys);
-    return;
-  }
-  constexpr double kForever = 1e15;
-  while (update_carry_ >= 1.0) {
-    update_carry_ -= 1.0;
-    uint64_t rank = 1 + rng_.UniformU64(indexed_keys);
-    uint64_t key = config_.strategy == Strategy::kIndexAll
-                       ? rank - 1
-                       : workload_->KeyAtRank(rank);
-    // Insert at one responsible peer (cSIndx) + gossip to replicas
-    // (repl * dup2): exactly Eq. 9's per-update cost.
-    net::PeerId entry = DhtEntryPoint(rng_, net::kInvalidPeer);
-    if (entry == net::kInvalidPeer) continue;
-    DhtLookup(entry, key);
-    network_->CountOnly(net::MessageType::kReplicaPush,
-                        StatisticalReplicaFloodCost(rng_));
-    for (net::PeerId rep : IndexReplicasOf(key)) {
-      if (!network_->IsOnline(rep)) continue;
-      uint64_t displaced =
-          nodes_[rep].index().Put(key, engine_.now(), kForever);
-      if (displaced != TtlIndex::kNoKey) DecResidency(displaced);
-      IncResidency(key);
-    }
-  }
-}
-
-void PdhtSystem::RunShardedUpdateActor(sim::RoundContext& ctx,
-                                       uint64_t indexed_keys) {
-  // PLAN (serial): rank draws come off the main stream in carry order --
-  // the same one-draw-per-update sequence the serial loop consumes.
+  // PLAN (serial): rank draws come off the main stream in carry order,
+  // one draw per update.
   update_tasks_.clear();
   while (update_carry_ >= 1.0) {
     update_carry_ -= 1.0;
@@ -1230,68 +1042,34 @@ void PdhtSystem::RunShardedUpdateActor(sim::RoundContext& ctx,
   }
   if (update_tasks_.empty()) return;
   if (overlay_) overlay_->members();  // warm shared read caches serially
-  round_seed_ = Mix64(HashCombine(config_.seed, ctx.round));
   const uint64_t upd_seed =
       Mix64(HashCombine(round_seed_, 0x75706474ULL));  // "updt"
-  const size_t num_counters = engine_.counters().NumCounters();
-  for (net::ShardLane& lane : lanes_) lane.Prepare(num_counters);
-  update_results_.resize(update_tasks_.size());
-  // EXECUTE (parallel): entry-point selection, insert routing and the
-  // statistical replica-flood costing per task (wire cost belongs to the
-  // task); index mutations wait for publish.
-  pool_->Run(
-      static_cast<uint32_t>(update_tasks_.size()),
-      [this, upd_seed](uint32_t w, uint32_t task) {
-        UpdateTaskResult& r = update_results_[task];
-        r = UpdateTaskResult{};
-        r.slice.lane = w;
-        overlay::SetCurrentLookupSlot(w);
-        net::ShardLane& lane = lanes_[w];
-        lane.latency_s = 0.0;
-        network_->BeginLane(&lane);
-        r.slice.def_begin = static_cast<uint32_t>(lane.deferred.size());
-        Rng rng(Mix64(HashCombine(upd_seed, task)));
-        net::PeerId entry = DhtEntryPoint(rng, net::kInvalidPeer);
-        if (entry != net::kInvalidPeer) {
-          DhtLookup(entry, update_tasks_[task]);
-          network_->CountOnly(net::MessageType::kReplicaPush,
-                              StatisticalReplicaFloodCost(rng));
-          r.inserted = true;
-        }
-        r.slice.def_end = static_cast<uint32_t>(lane.deferred.size());
-        network_->EndLane();
-      });
-  // PUBLISH (serial): merge lane counter deltas, then replay each task's
-  // deferred effects and apply its replica Puts in global task order.
-  MergeLaneCounters();
-  constexpr double kForever = 1e15;
+  update_inserted_.resize(update_tasks_.size());
+  // EXECUTE: insert at one responsible peer (cSIndx) + the statistical
+  // replica-flood costing (repl * dup2) -- exactly Eq. 9's per-update
+  // cost, charged to the task; index mutations wait for publish.
+  RunLanePhase(static_cast<uint32_t>(update_tasks_.size()),
+               [this, upd_seed](uint32_t, uint32_t task) {
+                 Rng rng(Mix64(HashCombine(upd_seed, task)));
+                 net::PeerId entry = DhtEntryPoint(rng, net::kInvalidPeer);
+                 update_inserted_[task] = entry != net::kInvalidPeer;
+                 if (entry == net::kInvalidPeer) return;
+                 DhtLookup(entry, update_tasks_[task]);
+                 network_->CountOnly(net::MessageType::kReplicaPush,
+                                     StatisticalReplicaFloodCost(rng));
+               });
+  // PUBLISH: lane merge and deferred replay, then the replica Puts in
+  // global task order.
+  CommitLanePhase();
   const double now = engine_.now();
   for (size_t task = 0; task < update_tasks_.size(); ++task) {
-    const UpdateTaskResult& r = update_results_[task];
-    for (uint32_t i = r.slice.def_begin; i < r.slice.def_end; ++i) {
-      network_->CommitDeferred(lanes_[r.slice.lane].deferred[i]);
-    }
-    if (!r.inserted) continue;
-    const uint64_t key = update_tasks_[task];
-    for (net::PeerId rep : IndexReplicasOf(key)) {
-      if (!network_->IsOnline(rep)) continue;
-      uint64_t displaced = nodes_[rep].index().Put(key, now, kForever);
-      if (displaced != TtlIndex::kNoKey) DecResidency(displaced);
-      IncResidency(key);
-    }
+    if (update_inserted_[task]) PutAtReplicas(update_tasks_[task], now, kForever);
   }
 }
 
 void PdhtSystem::RunEvictionActor(sim::RoundContext& ctx) {
   if (config_.strategy != Strategy::kPartialTtl) return;
   ScopedPhaseMs timer(&engine_, kPhaseEvict);
-  if (!sharded_) {
-    for (net::PeerId m : dht_members_) {
-      nodes_[m].index().EvictExpired(
-          ctx.time, [this](uint64_t key) { DecResidency(key); });
-    }
-    return;
-  }
   // Shard-parallel sweep: each shard owns a disjoint member set (pure
   // function of peer id), evicted keys land in per-shard buffers, and
   // residency decrements -- commutative integer ops over an unordered
@@ -1329,7 +1107,9 @@ void PdhtSystem::ApplyScenarioTransitions(uint64_t round) {
 
 void PdhtSystem::RunChurnActor(sim::RoundContext& ctx) {
   ScopedPhaseMs timer(&engine_, kPhaseChurn);
-  if (!sharded_ || !overlay_ || !overlay_->has_sharded_rejoin()) {
+  // The round's first actor: every later phase's streams hang off this.
+  round_seed_ = Mix64(HashCombine(config_.seed, ctx.round));
+  if (!overlay_ || !overlay_->has_sharded_rejoin()) {
     ApplyScenarioTransitions(ctx.round);
     churn_->AdvanceTo(ctx.time);
     return;
@@ -1359,8 +1139,7 @@ void PdhtSystem::RunChurnActor(sim::RoundContext& ctx) {
       std::unique(rejoin_queue_.begin(), rejoin_queue_.end()),
       rejoin_queue_.end());
   const uint64_t churn_seed =
-      Mix64(HashCombine(Mix64(HashCombine(config_.seed, ctx.round)),
-                        0x6368726eULL));  // "chrn"
+      Mix64(HashCombine(round_seed_, 0x6368726eULL));  // "chrn"
   // No lanes: table rebuilds send no messages and touch no counters.
   pool_->Run(static_cast<uint32_t>(rejoin_queue_.size()),
              [this, churn_seed](uint32_t /*worker*/, uint32_t task) {

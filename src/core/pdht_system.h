@@ -153,33 +153,19 @@ struct SystemConfig {
   /// transit-stub domain).
   sim::ScenarioConfig scenario;
 
-  /// Worker threads for the parallel phases of the round loop (queries,
-  /// eviction).  sim_threads <= 1 with sim_shards == 0 runs the legacy
-  /// serial engine, bit-identical to the seed era.  Any other setting
-  /// enables the *sharded* engine, whose results are bit-identical across
-  /// every (sim_threads, sim_shards) combination -- parallelism changes
-  /// wall-clock only -- but form a different (equally valid) random
-  /// stream than the serial engine's: query effects publish at a phase
-  /// barrier instead of interleaving, and each query draws from its own
-  /// derived Rng.  See docs/architecture.md, "Sharded round engine".
+  /// Worker threads for the parallel phases of the round loop
+  /// (maintenance, queries, updates, eviction, churn rejoins, the
+  /// boundary drain).  1 runs every phase inline on the caller with no
+  /// worker threads.  Results are bit-identical across every
+  /// (sim_threads, sim_shards) combination -- parallelism changes
+  /// wall-clock only.  See docs/architecture.md, "Round engine".
   uint32_t sim_threads = 1;
-  /// Peer shards for the shard-partitioned phases (eviction).  Shard
-  /// assignment is a pure function of peer id and shard count, so
-  /// results never depend on which thread runs a shard; they do not
-  /// depend on the shard count either (shard merges commute).  0 = auto
-  /// (4 * sim_threads when the sharded engine is enabled).
+  /// Peer shards for the shard-partitioned phases (eviction, boundary
+  /// drain).  Shard assignment is a pure function of peer id and shard
+  /// count, so results never depend on which thread runs a shard; they
+  /// do not depend on the shard count either (shard merges commute).
+  /// 0 = 4 * sim_threads.
   uint32_t sim_shards = 0;
-
-  /// Automatic engine selection: ignore sim_threads and choose serial vs
-  /// sharded from the configuration's expected per-round work, sizing
-  /// the worker pool from the host when the sharded engine wins.  The
-  /// serial/sharded decision is a pure function of the config -- the two
-  /// engines are distinct random streams, so a machine-dependent choice
-  /// would break reproducibility -- while the thread count itself may be
-  /// hardware-derived because sharded results are bit-identical at any
-  /// thread count.  Small scenarios therefore never pay the pool's
-  /// barrier overhead; big ones scale without per-scenario tuning.
-  bool sim_threads_auto = false;
 
   /// Record per-phase wall-clock series round.phase.{churn,maint,plan,
   /// query,publish,update,evict,drain}.ms (sim/round_engine.h; "drain"
@@ -191,14 +177,15 @@ struct SystemConfig {
 
   /// Determinism-audit knob: publish commutative slices in a deliberately
   /// perturbed order -- lane counter deltas merge last-to-first and the
-  /// parallel per-origin stats pass visits shards in reversed index
+  /// parallel per-origin stats pass visits its partitions in reversed
   /// order.  Every perturbed operation commutes by construction, so all
   /// results must be bit-identical to the default order; the sharded
-  /// determinism suite asserts exactly that.  Never affects the serial
-  /// engine.
+  /// determinism suite asserts exactly that.
   bool debug_shuffle_publish = false;
 
   /// Returns an empty string when the configuration is self-consistent.
+  /// PdhtSystem's constructor throws std::invalid_argument carrying this
+  /// message when it is not.
   std::string Validate() const;
 };
 
@@ -234,6 +221,8 @@ struct QueryOutcome {
 
 class PdhtSystem {
  public:
+  /// Throws std::invalid_argument when config.Validate() reports an
+  /// error.
   explicit PdhtSystem(const SystemConfig& config);
   ~PdhtSystem();
 
@@ -244,7 +233,8 @@ class PdhtSystem {
   void RunRounds(uint64_t n);
 
   /// Executes one query for `key` from a random online origin immediately
-  /// (outside the round loop); used by tests.
+  /// (outside the round loop): the round's query task body and publish
+  /// step, run serially on the main stream.
   QueryOutcome ExecuteQuery(uint64_t key);
 
   /// Workload control for adaptivity experiments.
@@ -366,13 +356,10 @@ class PdhtSystem {
   void SelectDhtMembers();
   void PreloadIndex();
   void RegisterActors();
+  /// Worker pool, per-worker lanes and scratch, eviction shards and the
+  /// partitioned boundary drain.
+  void SetupWorkers();
 
-  // Query path pieces.  The pieces shared between the serial and sharded
-  // engines take an explicit Rng so a parallel query task can route its
-  // randomness through its own derived stream (serial callers pass rng_).
-  QueryOutcome RunIndexFirstQuery(net::PeerId origin, uint64_t key,
-                                  bool ttl_semantics);
-  QueryOutcome RunUnstructuredQuery(net::PeerId origin, uint64_t key);
   overlay::LookupResult DhtLookup(net::PeerId origin, uint64_t key);
   /// The key's index replica group, written into a reused scratch buffer
   /// (valid until the next IndexReplicasOf call; callers iterate it
@@ -385,7 +372,9 @@ class PdhtSystem {
   /// scratch so they never share replica_scratch_).
   const std::vector<net::PeerId>& IndexReplicasInto(
       uint64_t key, std::vector<net::PeerId>* out) const;
-  void InsertIntoIndex(uint64_t key, double now, double ttl);
+  /// Puts `key` at every online replica of its group (offline replicas
+  /// pull later), keeping residency_ in step.
+  void PutAtReplicas(uint64_t key, double now, double ttl);
   uint64_t StatisticalReplicaFloodCost(Rng& rng);
   net::PeerId RandomOnlinePeer();
   net::PeerId DhtEntryPoint(Rng& rng, net::PeerId origin);
@@ -403,12 +392,11 @@ class PdhtSystem {
   void IncResidency(uint64_t key);
   void DecResidency(uint64_t key);
 
-  // --- Sharded round engine (see docs/architecture.md) ------------------
+  // --- Round engine (see docs/architecture.md) --------------------------
 
   /// One planned query of the round: everything the serial planning pass
-  /// decided (from the main Rng/workload streams) before the parallel
-  /// phase starts, so the task body is a pure function of (task, round
-  /// snapshot, derived task Rng).
+  /// decided before the parallel phase starts, so the task body is a
+  /// pure function of (task, round snapshot, derived task Rng).
   struct QueryTask {
     uint64_t key = 0;
     net::PeerId origin = net::kInvalidPeer;
@@ -416,21 +404,20 @@ class PdhtSystem {
     bool ttl_semantics = false;  ///< kPartialTtl touch/insert semantics
   };
 
-  /// Buffered effects of one parallel query task, applied serially in
-  /// global task order by PublishQueryResults -- the order-sensitive
-  /// complement of the order-free counter-delta merge.
+  /// Buffered effects of one query task, applied serially in global task
+  /// order by PublishQueryResult -- the order-sensitive complement of the
+  /// order-free counter-delta merge.
   struct QueryTaskResult {
-    uint32_t lane = 0;       ///< worker lane the task recorded into
-    uint32_t def_begin = 0;  ///< slice of lanes_[lane].deferred
-    uint32_t def_end = 0;
     bool found = false;
     bool answered_from_index = false;
+    bool used_unstructured = false;  ///< a walk ran (miss or no index)
     bool has_touch = false;   ///< hit under TTL semantics: Touch at publish
     bool has_insert = false;  ///< miss-then-found: replica Puts at publish
     bool has_rtt = false;     ///< bracketed RTT samples below are valid
     net::PeerId touch_holder = net::kInvalidPeer;
+    uint64_t index_messages = 0;  ///< DHT + replica traffic, insert included
+    uint64_t unstructured_messages = 0;  ///< the walk's traffic
     double index_obs = -1.0;  ///< ObserveIndexSearch arg; < 0 = none
-    double unstructured_obs = -1.0;
     double rtt_ms = 0.0;
     double direct_ms = 0.0;
     double hops = 0.0;
@@ -438,45 +425,53 @@ class PdhtSystem {
     float hop_rtt_ms[overlay::LookupResult::kMaxHopRtt] = {};
   };
 
-  /// Lane-local effect slice of one parallel task: which worker lane it
-  /// recorded into and its half-open slice of that lane's deferred log,
-  /// replayed serially in global task order at publish.
+  /// Lane-local effect slice of one chunk of a lane phase's tasks: which
+  /// worker lane the chunk recorded into and its half-open slice of that
+  /// lane's deferred log, replayed serially in chunk (= task) order.
   struct PhaseSlice {
     uint32_t lane = 0;
     uint32_t def_begin = 0;
     uint32_t def_end = 0;
   };
 
-  /// Buffered effects of one parallel proactive-update task.  The rank
-  /// draw happens at planning (main stream); the task runs entry-point
-  /// selection + lookup + statistical flood costing; publish replays the
-  /// deferred slice and applies the replica Puts in task order.
-  struct UpdateTaskResult {
-    PhaseSlice slice;
-    bool inserted = false;  ///< entry point found: replica Puts at publish
-  };
+  /// EXECUTE step shared by every task phase: runs body(worker, task) for
+  /// each task in [0, num_tasks) on the pool, in contiguous chunks, with
+  /// the worker's lane and lookup slot bound once per chunk.
+  template <typename Body>
+  void RunLanePhase(uint32_t num_tasks, const Body& body);
+  /// Order-free and ordered halves of a lane phase's publish: merges the
+  /// lane counter deltas, then replays the deferred network effects in
+  /// global task order.
+  void CommitLanePhase();
+  /// Merges every lane's counter delta into the shared registry (order-
+  /// free integer adds; debug_shuffle_publish reverses the lane order to
+  /// prove it).  Shared by CommitLanePhase and the partitioned boundary
+  /// drain.
+  void MergeLaneCounters();
 
-  void SetupShardedEngine();
-  void RunShardedQueryActor(sim::RoundContext& ctx);
   void PlanQueryTasks(sim::RoundContext& ctx);
   /// Strategy dispatch for one planned query (pure function of config +
   /// the workload permutation; safe from parallel planning passes).
   QueryTask MakeQueryTask(uint64_t key, net::PeerId origin) const;
   void AppendQueryTask(uint64_t key);
-  void RunQueryTask(uint32_t worker, uint32_t task_index);
-  /// Merges every lane's counter delta into the shared registry (order-
-  /// free integer adds; debug_shuffle_publish reverses the lane order to
-  /// prove it).  Shared by the query/maintenance/update publish steps and
-  /// the partitioned boundary drain.
-  void MergeLaneCounters();
+  /// The query task body: every draw comes from `rng`, walks run on
+  /// `walk`, replica groups land in `replicas`, and every state mutation
+  /// is buffered into `r` for PublishQueryResult.
+  void RunQueryTask(const QueryTask& t, Rng& rng,
+                    overlay::RandomWalkSearch& walk,
+                    std::vector<net::PeerId>* replicas, QueryTaskResult* r);
+  void IndexFirstQuery(const QueryTask& t, Rng& rng,
+                       overlay::RandomWalkSearch& walk,
+                       std::vector<net::PeerId>* replicas,
+                       QueryTaskResult* r);
+  void UnstructuredQuery(const QueryTask& t, Rng& rng,
+                         overlay::RandomWalkSearch& walk,
+                         QueryTaskResult* r);
+  /// Per-task publish step: autotuner observations, index mutations and
+  /// latency samples of one query, against live state.
+  void PublishQueryResult(const QueryTask& t, const QueryTaskResult& r,
+                          double now);
   void PublishQueryResults();
-  void ShardIndexFirstQuery(Rng& rng, uint32_t worker, net::PeerId origin,
-                            uint64_t key, bool ttl_semantics,
-                            QueryTaskResult* r);
-  void ShardUnstructuredQuery(Rng& rng, uint32_t worker, net::PeerId origin,
-                              uint64_t key, QueryTaskResult* r);
-  void RunShardedMaintenance(sim::RoundContext& ctx);
-  void RunShardedUpdateActor(sim::RoundContext& ctx, uint64_t indexed_keys);
 
   SystemConfig config_;
   // Derived settings.
@@ -548,34 +543,36 @@ class PdhtSystem {
   std::vector<net::PeerId> outage_peers_;
   bool outage_active_ = false;
 
-  // Sharded-engine state (empty/unused when the legacy serial engine is
-  // active).  Lanes, walk searchers and replica scratch are per *worker*
-  // (disjoint while a phase runs); shard member lists and eviction
-  // buffers are per *shard* (each shard claimed by exactly one task).
-  bool sharded_ = false;
+  // Round-engine state.  Lanes, walk searchers and replica scratch are
+  // per *worker* (disjoint while a phase runs); shard member lists and
+  // eviction buffers are per *shard* (each shard claimed by exactly one
+  // task).
   uint32_t num_shards_ = 0;
-  uint64_t round_seed_ = 0;  ///< Mix64(HashCombine(seed, round))
+  /// Mix64(HashCombine(seed, round)), set by the round's first actor;
+  /// every phase's per-task streams hang off it.
+  uint64_t round_seed_ = 0;
   std::unique_ptr<sim::ShardPool> pool_;
   std::vector<net::ShardLane> lanes_;
   std::vector<std::unique_ptr<overlay::RandomWalkSearch>> walk_slots_;
   mutable std::vector<std::vector<net::PeerId>> replica_slots_;
   std::vector<std::vector<net::PeerId>> shard_members_;
   std::vector<std::vector<uint64_t>> evict_buffers_;
+  /// Chunk slices of the current lane phase (RunLanePhase).
+  std::vector<PhaseSlice> phase_slices_;
   std::vector<QueryTask> query_tasks_;
   std::vector<QueryTaskResult> query_results_;
   /// Counting-sort planner scratch (PlanQueryTasks): per-online-peer
   /// query counts, per-chunk task-offset bases (exclusive prefix sums of
-  /// chunk totals), and per-shard partial tallies of the parallel
-  /// publish's per-origin stats pass.
+  /// chunk totals), and per-partition tallies of the parallel publish's
+  /// per-origin stats pass.
   std::vector<uint32_t> plan_counts_;
   std::vector<uint64_t> plan_chunk_bases_;
   std::vector<uint64_t> publish_queries_;
   std::vector<uint64_t> publish_hits_;
-  /// Sharded-maintenance / sharded-update round state (resized per
-  /// round, reused across rounds).
-  std::vector<PhaseSlice> maint_slices_;
-  std::vector<uint64_t> update_tasks_;  // planned update keys, in draw order
-  std::vector<UpdateTaskResult> update_results_;
+  /// Proactive-update round state: planned keys in draw order, and
+  /// whether each task found an entry point (replica Puts at publish).
+  std::vector<uint64_t> update_tasks_;
+  std::vector<uint8_t> update_inserted_;
   /// Churn-phase rejoin deferral: while the sharded churn actor drains
   /// flip events, OnChurnFlip queues member rejoins here instead of
   /// rebuilding inline; the actor dedupes and rebuilds them in parallel.

@@ -74,15 +74,6 @@ CellResult RunCell(const ExperimentSpec& spec, size_t index) {
     result.grid_index = cell.grid_index;
     result.seed_index = cell.seed_index;
     result.labels = cell.labels;
-
-    // Validate eagerly: PdhtSystem's own check is an assert, which is
-    // compiled out in release builds, and a bad patch must not take the
-    // whole sweep down.
-    std::string err = cell.config.Validate();
-    if (!err.empty()) {
-      result.error = err;
-      return result;
-    }
     core::PdhtSystem sys(cell.config);
     if (spec.run) {
       spec.run(sys, cell);

@@ -7,7 +7,7 @@
 
 namespace pdht::net {
 
-thread_local ShardLane* Network::tls_lane_ = nullptr;
+constinit thread_local ShardLane* Network::tls_lane_ = nullptr;
 
 namespace {
 constexpr uint32_t kNotOnline = UINT32_MAX;
@@ -142,28 +142,14 @@ bool Network::SendDeferred(const Message& msg) {
   return true;
 }
 
-bool Network::LaneSend(ShardLane& lane, const Message& msg) {
-  lane.counter_delta[type_ids_[TypeIndex(msg.type)]] += 1;
-  lane.counter_delta[total_id_] += 1;
-  if (msg.to >= handlers_.size() || !online_[msg.to]) {
-    lane.counter_delta[lost_id_] += 1;
-    return false;
-  }
-  if (deferred_) {
-    // Charge the model's delay into the lane only; the shared latency
-    // sum, histogram sample and event scheduling happen at the merge
-    // barrier (CommitDeferred), serially and in task order.
-    const double delay = delivery_->LinkDelaySeconds(msg.from, msg.to);
-    lane.counter_delta[deferred_id_] += 1;
-    lane.latency_s += delay;
-    lane.deferred.push_back(ShardLane::Deferred{msg, delay, false});
-    return true;
-  }
-  // Immediate delivery in lane mode is accounting-only: lane phases
-  // require handler-free peers (all PDHT protocol logic runs at system
-  // level), so the delivered/lost outcome is the whole effect.
-  assert(handlers_[msg.to] == nullptr);
-  return true;
+void Network::LaneSendDeferred(ShardLane& lane, const Message& msg) {
+  // Charge the model's delay into the lane only; the shared latency sum,
+  // histogram sample and event scheduling happen at the merge barrier
+  // (CommitDeferred), serially and in task order.
+  const double delay = delivery_->LinkDelaySeconds(msg.from, msg.to);
+  lane.counter_delta[deferred_id_] += 1;
+  lane.latency_s += delay;
+  lane.deferred.push_back(ShardLane::Deferred{msg, delay, false});
 }
 
 void Network::CommitDeferred(const ShardLane::Deferred& d) {

@@ -35,6 +35,7 @@
 #define PDHT_NET_NETWORK_H_
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -139,8 +140,25 @@ class Network {
   /// or at the model's scheduled arrival time when delivery is deferred).
   /// Peers never seen by Register/SetOnline are unreachable.
   bool Send(const Message& msg) {
-    ShardLane* lane = tls_lane_;
-    if (lane != nullptr) return LaneSend(*lane, msg);
+    if (ShardLane* lane = tls_lane_; lane != nullptr) {
+      // Lane mode: counter increments into the lane's delta buffer;
+      // deferred sends are logged for serial replay.  Immediate delivery
+      // in lane mode is accounting-only: lane phases require handler-free
+      // peers (all PDHT protocol logic runs at system level), so the
+      // delivered/lost outcome is the whole effect.
+      lane->counter_delta[type_ids_[TypeIndex(msg.type)]] += 1;
+      lane->counter_delta[total_id_] += 1;
+      if (msg.to >= handlers_.size() || !online_[msg.to]) {
+        lane->counter_delta[lost_id_] += 1;
+        return false;
+      }
+      if (deferred_) {
+        LaneSendDeferred(*lane, msg);
+      } else {
+        assert(handlers_[msg.to] == nullptr);
+      }
+      return true;
+    }
     counters_->Add(type_ids_[TypeIndex(msg.type)]);
     counters_->Add(total_id_);
     if (msg.to >= handlers_.size() || !online_[msg.to]) {
@@ -302,10 +320,10 @@ class Network {
   /// small.
   bool SendDeferred(const Message& msg);
 
-  /// Lane-mode Send: counter increments into the lane's delta buffer;
-  /// deferred sends logged for serial replay.  Out of line to keep the
-  /// serial fast path small.
-  bool LaneSend(ShardLane& lane, const Message& msg);
+  /// Lane-mode deferred send: charges the model's delay into the lane
+  /// and logs the message for CommitDeferred.  Out of line, like
+  /// SendDeferred: it only runs when a latency model is installed.
+  void LaneSendDeferred(ShardLane& lane, const Message& msg);
 
   /// Schedules the arrival of a (possibly lane-logged) deferred message.
   void ScheduleArrival(const Message& msg, double delay_s);
@@ -326,7 +344,9 @@ class Network {
   std::vector<PeerId> online_list_;   ///< dense: the online peers
   std::vector<uint32_t> online_pos_;  ///< peer -> index in online_list_
 
-  static thread_local ShardLane* tls_lane_;
+  // constinit: no dynamic initialization, so every access (inline Send
+  // included) reads the slot directly instead of through a TLS wrapper.
+  static constinit thread_local ShardLane* tls_lane_;
 
   const DeliveryModel* delivery_ = nullptr;  ///< not owned; null = immediate
   sim::EventQueue* events_ = nullptr;        ///< not owned

@@ -53,14 +53,8 @@ void ShardPool::WorkerLoop(uint32_t worker) {
   }
 }
 
-void ShardPool::Run(uint32_t num_tasks, const TaskFn& fn, uint32_t chunk) {
-  if (num_tasks == 0) return;
-  if (num_threads_ == 1 || num_tasks == 1) {
-    // Inline fast path: no atomics, no wakeups.  The single-task case
-    // also lands here so phases with one shard pay nothing for the pool.
-    for (uint32_t t = 0; t < num_tasks; ++t) fn(0, t);
-    return;
-  }
+void ShardPool::RunShared(uint32_t num_tasks, const TaskFn& fn,
+                          uint32_t chunk) {
   if (chunk == 0) {
     // ~16 claims per thread balances contention (fewer RMWs) against
     // load imbalance (the last chunks may straggle); the cap keeps one

@@ -60,9 +60,21 @@ class ShardPool {
   /// `chunk` is the number of consecutive task indices claimed per atomic
   /// RMW; 0 picks a heuristic (~16 claims per thread, capped) that keeps
   /// both contention and load imbalance low.
-  void Run(uint32_t num_tasks, const TaskFn& fn, uint32_t chunk = 0);
+  template <typename Fn>
+  void Run(uint32_t num_tasks, const Fn& fn, uint32_t chunk = 0) {
+    if (num_threads_ == 1 || num_tasks <= 1) {
+      // Inline fast path: no atomics, no wakeups and no type-erased call,
+      // so the body inlines into the loop.  The single-task case also
+      // lands here so phases with one shard pay nothing for the pool.
+      for (uint32_t t = 0; t < num_tasks; ++t) fn(0, t);
+      return;
+    }
+    RunShared(num_tasks, TaskFn(std::cref(fn)), chunk);
+  }
 
  private:
+  /// The multi-worker path of Run.
+  void RunShared(uint32_t num_tasks, const TaskFn& fn, uint32_t chunk);
   void WorkerLoop(uint32_t worker);
   void ClaimLoop(uint32_t worker);
 

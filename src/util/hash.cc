@@ -29,20 +29,6 @@ Hash128 Fnv1a128(std::string_view data) {
   return out;
 }
 
-uint64_t Mix64(uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return x;
-}
-
-uint64_t HashCombine(uint64_t a, uint64_t b) {
-  // boost::hash_combine style, widened to 64 bits.
-  return a ^ (Mix64(b) + 0x9e3779b97f4a7c15ULL + (a << 12) + (a >> 4));
-}
-
 std::string ToBinaryPrefix(uint64_t h, int bits) {
   std::string s;
   s.reserve(bits);

@@ -31,11 +31,22 @@ struct Hash128 {
 Hash128 Fnv1a128(std::string_view data);
 
 /// Finalizing integer mixer (Stafford variant 13 of the MurmurHash3
-/// finalizer).  Bijective on 64-bit values.
-uint64_t Mix64(uint64_t x);
+/// finalizer).  Bijective on 64-bit values.  Inline: the round engine
+/// derives a stream seed per task and per peer from it.
+constexpr uint64_t Mix64(uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ULL;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebULL;
+  x ^= x >> 31;
+  return x;
+}
 
 /// Combines two 64-bit hashes (order-sensitive).
-uint64_t HashCombine(uint64_t a, uint64_t b);
+constexpr uint64_t HashCombine(uint64_t a, uint64_t b) {
+  // boost::hash_combine style, widened to 64 bits.
+  return a ^ (Mix64(b) + 0x9e3779b97f4a7c15ULL + (a << 12) + (a >> 4));
+}
 
 /// Returns the `bits` most significant bits of `h` as a zero-padded binary
 /// string, e.g. ToBinaryPrefix(0x8000...,4) == "1000".  Used by the P-Grid

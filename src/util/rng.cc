@@ -4,76 +4,9 @@
 
 namespace pdht {
 
-namespace {
-
-inline uint64_t Rotl(uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
-
-uint64_t SplitMix64Next(uint64_t* state) {
-  uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-Rng::Rng(uint64_t seed) {
-  // Seed the four xoshiro words from SplitMix64 as recommended by the
-  // xoshiro authors; this avoids correlated low-entropy states.
-  uint64_t sm = seed;
-  s_[0] = SplitMix64Next(&sm);
-  s_[1] = SplitMix64Next(&sm);
-  s_[2] = SplitMix64Next(&sm);
-  s_[3] = SplitMix64Next(&sm);
-  // An all-zero state would be a fixed point; the SplitMix64 outputs make
-  // that astronomically unlikely, but guard anyway.
-  if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
-}
-
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-uint64_t Rng::UniformU64(uint64_t bound) {
-  // Lemire's nearly-divisionless unbiased bounded generation.
-  uint64_t x = Next();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  uint64_t low = static_cast<uint64_t>(m);
-  if (low < bound) {
-    uint64_t threshold = -bound % bound;
-    while (low < threshold) {
-      x = Next();
-      m = static_cast<__uint128_t>(x) * bound;
-      low = static_cast<uint64_t>(m);
-    }
-  }
-  return static_cast<uint64_t>(m >> 64);
-}
-
 int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
   return lo + static_cast<int64_t>(UniformU64(span));
-}
-
-double Rng::UniformDouble() {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-}
-
-bool Rng::Bernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return UniformDouble() < p;
 }
 
 double Rng::Exponential(double rate) {

@@ -1,5 +1,8 @@
 #include "core/pdht_system.h"
 
+#include <stdexcept>
+#include <string>
+
 #include <gtest/gtest.h>
 
 namespace pdht::core {
@@ -40,6 +43,22 @@ TEST(SystemConfigTest, RejectsBadTtlScale) {
   SystemConfig c = BaseConfig(Strategy::kPartialTtl);
   c.ttl_scale = 0.0;
   EXPECT_FALSE(c.Validate().empty());
+}
+
+TEST(SystemConfigTest, ConstructorThrowsOnOutOfRangeConfig) {
+  // Validation must hold in every build type, not only where assert is
+  // compiled in: an out-of-range thread count would otherwise size the
+  // worker pool unchecked.
+  SystemConfig c = BaseConfig(Strategy::kPartialTtl);
+  c.sim_threads = 300;
+  const std::string err = c.Validate();
+  ASSERT_FALSE(err.empty());
+  try {
+    PdhtSystem sys(c);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(e.what(), err);
+  }
 }
 
 TEST(PdhtSystemTest, DerivesKeyTtlFromModel) {
@@ -145,6 +164,44 @@ TEST(PdhtSystemTest, TtlQueryMissInsertsThenHits) {
   EXPECT_FALSE(second.used_unstructured);
   EXPECT_LT(second.index_messages + second.unstructured_messages,
             first.index_messages + first.unstructured_messages);
+}
+
+TEST(PdhtSystemTest, ExecuteQueryAccountsEveryMessage) {
+  // Each call's index + unstructured message split must add up to exactly
+  // the traffic the network counted for it, on every query path.
+  PdhtSystem sys(BaseConfig(Strategy::kPartialTtl));
+  auto run = [&sys](uint64_t key) {
+    const uint64_t before = sys.network().TotalMessages();
+    QueryOutcome out = sys.ExecuteQuery(key);
+    EXPECT_EQ(out.index_messages + out.unstructured_messages,
+              sys.network().TotalMessages() - before)
+        << "key " << key;
+    return out;
+  };
+  // Miss, then re-insertion: index lookup + walk + insert routing.
+  const QueryOutcome miss = run(42);
+  EXPECT_TRUE(miss.found);
+  EXPECT_FALSE(miss.answered_from_index);
+  EXPECT_TRUE(miss.used_unstructured);
+  EXPECT_GT(miss.index_messages, 0u);
+  EXPECT_GT(miss.unstructured_messages, 0u);
+  // Hit: index traffic only.
+  const QueryOutcome hit = run(42);
+  EXPECT_TRUE(hit.answered_from_index);
+  EXPECT_FALSE(hit.used_unstructured);
+  EXPECT_GT(hit.index_messages, 0u);
+  EXPECT_EQ(hit.unstructured_messages, 0u);
+  // Every DHT member offline: the index is unreachable, so the query
+  // degrades to a walk from an online non-member.
+  for (net::PeerId m : sys.dht_overlay()->members()) {
+    sys.network().SetOnline(m, false);
+  }
+  const QueryOutcome fallback = run(43);
+  EXPECT_NE(fallback.origin, net::kInvalidPeer);
+  EXPECT_FALSE(fallback.answered_from_index);
+  EXPECT_TRUE(fallback.used_unstructured);
+  EXPECT_EQ(fallback.index_messages, 0u);
+  EXPECT_GT(fallback.unstructured_messages, 0u);
 }
 
 TEST(PdhtSystemTest, TtlEvictionPurgesIdleKeys) {

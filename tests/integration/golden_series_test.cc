@@ -74,7 +74,6 @@ void ExpectGolden(Strategy strategy, const std::vector<GoldenSeries>& golden,
   for (uint32_t threads : kGoldenThreads) {
     SystemConfig config = GoldenConfig(strategy);
     config.sim_threads = threads;
-    config.sim_shards = 4;
     if (patch) patch(config);
     PdhtSystem system(config);
     system.RunRounds(kGoldenRounds);
@@ -193,7 +192,6 @@ TEST(GoldenSeriesTest, LatencyDeliveryKeepsMessageCountsBitIdentical) {
   SystemConfig config = GoldenConfig(Strategy::kPartialTtl);
   config.delivery_model = net::DeliveryModelKind::kLatency;
   config.proximity_routing = false;
-  config.sim_shards = 4;
   PdhtSystem system(config);
   system.RunRounds(kGoldenRounds);
   EXPECT_GT(system.lookup_rtt_ms().count(), 0u);
