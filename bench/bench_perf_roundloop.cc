@@ -11,7 +11,7 @@
 // Scenarios are the paper's Table 1 at 1/14 and 1/50 scale (peers and keys
 // divided, per-peer storage and replication reduced proportionally), run
 // under churn so the probe/repair path is part of the measured loop, plus
-// the 100k- and 1M-peer scale-up scenarios the sharded engine exists for.
+// the 100k- and 1M-peer scale-up scenarios the worker pool exists for.
 // Each scenario is measured for the strategies whose round loops differ
 // most: partialTtl (index-first queries, TTL eviction) and indexAll
 // (proactive updates, no eviction); the 1M scenario runs partialTtl only

@@ -59,8 +59,7 @@ constexpr uint64_t kDefaultRounds = 360;
 constexpr double kRecoveryThreshold = 0.95;
 
 /// The bench_latency 1/14 scenario moved onto the transit-stub topology
-/// (the outage needs clusters to take down), sharded engine pinned at 4
-/// shards for thread-count-independent series.
+/// (the outage needs clusters to take down).
 SystemConfig ScenarioConfigFor(pdht::core::DhtBackend backend,
                                uint64_t rounds, bool resilient) {
   SystemConfig c;

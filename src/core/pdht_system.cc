@@ -707,13 +707,12 @@ void PdhtSystem::PlanQueryTasks(sim::RoundContext& ctx) {
   // at exact offsets.  Each peer's draws come from its own streams --
   // pure functions of (seed, round, peer) -- so the plan consumes ZERO
   // main-stream values and is bit-identical at every thread/shard count
-  // (the legacy planner burned one main-stream draw per query on the
-  // origin alone, a serial floor at 100k+ queries/round).  Semantics
-  // shift with the stream: each online peer issues floor(rate) +
+  // (a main-stream origin draw per query would be a serial floor at
+  // 100k+ queries/round).  Each online peer issues floor(rate) +
   // Bernoulli(frac) queries where rate spreads the round's expected
   // total (num_peers * f_qry) over the online population, and the peer
-  // itself is the query's origin -- the same aggregate mean as the old
-  // binomial count with uniformly drawn origins, realized per-peer.
+  // itself is the query's origin -- the aggregate mean of a binomial
+  // count with uniformly drawn origins, realized per-peer.
   const uint32_t online = network_->online_count();
   if (online == 0) return;  // nothing can originate a query
   const double rate =
@@ -1063,7 +1062,9 @@ void PdhtSystem::RunUpdateActor(sim::RoundContext& /*ctx*/) {
   CommitLanePhase();
   const double now = engine_.now();
   for (size_t task = 0; task < update_tasks_.size(); ++task) {
-    if (update_inserted_[task]) PutAtReplicas(update_tasks_[task], now, kForever);
+    if (update_inserted_[task]) {
+      PutAtReplicas(update_tasks_[task], now, kForever);
+    }
   }
 }
 

@@ -573,7 +573,7 @@ class PdhtSystem {
   /// whether each task found an entry point (replica Puts at publish).
   std::vector<uint64_t> update_tasks_;
   std::vector<uint8_t> update_inserted_;
-  /// Churn-phase rejoin deferral: while the sharded churn actor drains
+  /// Churn-phase rejoin deferral: while the churn actor drains
   /// flip events, OnChurnFlip queues member rejoins here instead of
   /// rebuilding inline; the actor dedupes and rebuilds them in parallel.
   bool defer_rejoins_ = false;

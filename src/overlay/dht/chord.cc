@@ -59,7 +59,6 @@ uint64_t ChordOverlay::RoutingFingerprint() const {
 
 void ChordOverlay::SetMembers(const std::vector<net::PeerId>& members) {
   ring_.clear();
-  peer_to_index_.clear();
   members_cache_valid_ = false;
   ResetMaintenanceBudgets();
   ring_.reserve(members.size());
@@ -68,9 +67,7 @@ void ChordOverlay::SetMembers(const std::vector<net::PeerId>& members) {
   }
   std::sort(ring_.begin(), ring_.end(),
             [](const Member& a, const Member& b) { return a.id < b.id; });
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    peer_to_index_[ring_[i].peer] = i;
-  }
+  ReindexRing();
   for (auto& m : ring_) BuildTable(m);
   mean_rtt_ms_ = 0.0;
   if (has_peer_rtt() && ring_.size() >= 2) {
@@ -122,7 +119,8 @@ void ChordOverlay::BuildTable(Member& m) {
   }
   // Successor list.
   auto& succ = m.table.successors();
-  size_t my_idx = peer_to_index_.at(m.peer);
+  const size_t my_idx = RingIndexOf(m.peer);
+  assert(my_idx != kNotMember);
   succ.reserve(successor_list_size_);
   for (uint32_t k = 1;
        k <= successor_list_size_ && k < ring_.size(); ++k) {
@@ -139,10 +137,7 @@ void ChordOverlay::AddMember(net::PeerId peer) {
       [](const Member& m, NodeId v) { return m.id < v; });
   size_t pos = static_cast<size_t>(it - ring_.begin());
   ring_.insert(it, std::move(nm));
-  peer_to_index_.clear();
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    peer_to_index_[ring_[i].peer] = i;
-  }
+  ReindexRing();
   members_cache_valid_ = false;
   BuildTable(ring_[pos]);
   // Join traffic: Chord's join costs O(log^2 n) messages to populate the
@@ -167,20 +162,26 @@ void ChordOverlay::AddMember(net::PeerId peer) {
 }
 
 void ChordOverlay::RemoveMember(net::PeerId peer) {
-  auto it = peer_to_index_.find(peer);
-  if (it == peer_to_index_.end()) return;
-  ring_.erase(ring_.begin() + static_cast<long>(it->second));
-  peer_to_index_.clear();
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    peer_to_index_[ring_[i].peer] = i;
-  }
+  const uint32_t idx = RingIndexOf(peer);
+  if (idx == kNotMember) return;
+  ring_.erase(ring_.begin() + idx);
+  ReindexRing();
   members_cache_valid_ = false;
   // Entries pointing at the departed peer are repaired lazily by
   // maintenance (or eagerly here for tests via RefreshNode).
 }
 
 bool ChordOverlay::IsMember(net::PeerId peer) const {
-  return peer_to_index_.count(peer) > 0;
+  return RingIndexOf(peer) != kNotMember;
+}
+
+void ChordOverlay::ReindexRing() {
+  std::fill(ring_index_.begin(), ring_index_.end(), kNotMember);
+  for (size_t i = 0; i < ring_.size(); ++i) {
+    const net::PeerId peer = ring_[i].peer;
+    if (peer >= ring_index_.size()) ring_index_.resize(peer + 1, kNotMember);
+    ring_index_[peer] = static_cast<uint32_t>(i);
+  }
 }
 
 const std::vector<net::PeerId>& ChordOverlay::members_sorted_by_id() const {
@@ -213,16 +214,14 @@ std::vector<net::PeerId> ChordOverlay::ResponsibleReplicas(
 }
 
 ChordOverlay::Member* ChordOverlay::FindMember(net::PeerId peer) {
-  auto it = peer_to_index_.find(peer);
-  if (it == peer_to_index_.end()) return nullptr;
-  return &ring_[it->second];
+  const uint32_t idx = RingIndexOf(peer);
+  return idx == kNotMember ? nullptr : &ring_[idx];
 }
 
 const ChordOverlay::Member* ChordOverlay::FindMember(
     net::PeerId peer) const {
-  auto it = peer_to_index_.find(peer);
-  if (it == peer_to_index_.end()) return nullptr;
-  return &ring_[it->second];
+  const uint32_t idx = RingIndexOf(peer);
+  return idx == kNotMember ? nullptr : &ring_[idx];
 }
 
 bool ChordOverlay::StartLookup(net::PeerId origin, uint64_t key,
@@ -328,7 +327,10 @@ bool ChordOverlay::FallbackHop(const RouteState& state, uint64_t /*key*/,
   // owner is scanned past: its keys are served by its first online
   // successor, and a step at or past the target is terminal.
   LookupSlot& slot = lookup_slots_[CurrentLookupSlot()];
-  if (k == 0) slot.fallback_base = peer_to_index_.at(state.cur);
+  if (k == 0) {
+    slot.fallback_base = RingIndexOf(state.cur);
+    assert(slot.fallback_base != kNotMember);
+  }
   if (k + 1 >= ring_.size()) return false;
   const Member& cand = ring_[(slot.fallback_base + 1 + k) % ring_.size()];
   out->peer = cand.peer;
@@ -377,7 +379,8 @@ void ChordOverlay::RepairFinger(net::PeerId peer, size_t idx) {
     // Rebuild the successor list from the next *online* members so the
     // repair actually removes staleness (an offline successor would be
     // re-detected immediately).
-    size_t my_idx = peer_to_index_.at(peer);
+    const size_t my_idx = RingIndexOf(peer);
+    assert(my_idx != kNotMember);
     succ.clear();
     for (size_t k = 1;
          k < ring_.size() && succ.size() < successor_list_size_; ++k) {
@@ -414,11 +417,20 @@ std::string ChordOverlay::CheckInvariants() const {
       return err.str();
     }
   }
-  for (const auto& [peer, idx] : peer_to_index_) {
+  size_t indexed = 0;
+  for (net::PeerId peer = 0; peer < ring_index_.size(); ++peer) {
+    const uint32_t idx = ring_index_[peer];
+    if (idx == kNotMember) continue;
+    ++indexed;
     if (idx >= ring_.size() || ring_[idx].peer != peer) {
-      err << "peer_to_index_ inconsistent for peer " << peer;
+      err << "ring_index_ inconsistent for peer " << peer;
       return err.str();
     }
+  }
+  if (indexed != ring_.size()) {
+    err << "ring_index_ covers " << indexed << " of " << ring_.size()
+        << " members";
+    return err.str();
   }
   return "";
 }

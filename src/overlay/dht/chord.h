@@ -15,7 +15,6 @@
 #define PDHT_OVERLAY_DHT_CHORD_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "net/network.h"
@@ -149,7 +148,16 @@ class ChordOverlay : public StructuredOverlay {
   Rng maint_rng_;  ///< serial maintenance stream (Chord's only draws)
   uint32_t successor_list_size_;
   std::vector<Member> ring_;  // sorted by id
-  std::unordered_map<net::PeerId, size_t> peer_to_index_;
+  /// ring_ position of every member, indexed by peer id (kNotMember for
+  /// non-members): one load per member lookup on the maintenance and
+  /// routing hot paths.
+  static constexpr uint32_t kNotMember = UINT32_MAX;
+  std::vector<uint32_t> ring_index_;
+  uint32_t RingIndexOf(net::PeerId peer) const {
+    return peer < ring_index_.size() ? ring_index_[peer] : kNotMember;
+  }
+  /// Rebuilds ring_index_ after ring_ changed.
+  void ReindexRing();
   mutable std::vector<net::PeerId> members_cache_;
   mutable bool members_cache_valid_ = false;
 

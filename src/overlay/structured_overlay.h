@@ -297,7 +297,7 @@ class StructuredOverlay {
   // entries of the member's own table, and a probe that finds its target
   // offline lets the backend repair that entry for free.
   //
-  // The round is split plan / execute / finish so the sharded engine can
+  // The round is split plan / execute / finish so the round engine can
   // run the execute step in parallel:
   //
   //  * PlanMaintenanceRound (serial) accrues the budgets in members()
