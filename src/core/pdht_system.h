@@ -554,7 +554,7 @@ class PdhtSystem {
   std::unique_ptr<sim::ShardPool> pool_;
   std::vector<net::ShardLane> lanes_;
   std::vector<std::unique_ptr<overlay::RandomWalkSearch>> walk_slots_;
-  mutable std::vector<std::vector<net::PeerId>> replica_slots_;
+  std::vector<std::vector<net::PeerId>> replica_slots_;
   std::vector<std::vector<net::PeerId>> shard_members_;
   std::vector<std::vector<uint64_t>> evict_buffers_;
   /// Chunk slices of the current lane phase (RunLanePhase).
