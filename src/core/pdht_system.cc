@@ -61,6 +61,10 @@ std::string SystemConfig::Validate() const {
   if (walk.num_walkers == 0) return "walk.num_walkers must be >= 1";
   if (kademlia_bucket_size == 0) return "kademlia_bucket_size must be >= 1";
   if (kademlia_alpha == 0) return "kademlia_alpha must be >= 1";
+  if (churn.enabled) {
+    std::string churn_err = churn.Validate();
+    if (!churn_err.empty()) return churn_err;
+  }
   if (delivery_model == net::DeliveryModelKind::kLatency) {
     std::string lat_err = latency.Validate();
     if (!lat_err.empty()) return lat_err;
@@ -478,12 +482,6 @@ net::PeerId PdhtSystem::DhtEntryPoint(Rng& rng, net::PeerId origin) {
   return entry;
 }
 
-overlay::LookupResult PdhtSystem::DhtLookup(net::PeerId origin,
-                                            uint64_t key) {
-  assert(overlay_ != nullptr);
-  return overlay_->Lookup(origin, key);
-}
-
 uint64_t PdhtSystem::StatisticalReplicaFloodCost(Rng& rng) {
   // Flooding the replica subnetwork costs ~ repl * dup2 messages (Eq. 16);
   // the fractional part is realized probabilistically so the expectation
@@ -840,7 +838,7 @@ void PdhtSystem::IndexFirstQuery(const QueryTask& t, Rng& rng,
     return;
   }
 
-  overlay::LookupResult route = DhtLookup(entry, t.key);
+  overlay::LookupResult route = overlay_->Lookup(entry, t.key);
   if (network_->deferred_delivery() &&
       route.terminus != net::kInvalidPeer) {
     // Paired samples: measured serialized RTT of this lookup vs the
@@ -899,7 +897,7 @@ void PdhtSystem::IndexFirstQuery(const QueryTask& t, Rng& rng,
     const uint64_t before_insert = network_->ObservedTotalMessages();
     net::PeerId insert_entry = DhtEntryPoint(rng, net::kInvalidPeer);
     if (insert_entry != net::kInvalidPeer) {
-      DhtLookup(insert_entry, t.key);
+      overlay_->Lookup(insert_entry, t.key);
       network_->CountOnly(net::MessageType::kReplicaPush,
                           StatisticalReplicaFloodCost(rng));
       r->has_insert = true;
@@ -1053,7 +1051,7 @@ void PdhtSystem::RunUpdateActor(sim::RoundContext& /*ctx*/) {
                  net::PeerId entry = DhtEntryPoint(rng, net::kInvalidPeer);
                  update_inserted_[task] = entry != net::kInvalidPeer;
                  if (entry == net::kInvalidPeer) return;
-                 DhtLookup(entry, update_tasks_[task]);
+                 overlay_->Lookup(entry, update_tasks_[task]);
                  network_->CountOnly(net::MessageType::kReplicaPush,
                                      StatisticalReplicaFloodCost(rng));
                });
@@ -1110,26 +1108,17 @@ void PdhtSystem::RunChurnActor(sim::RoundContext& ctx) {
   ScopedPhaseMs timer(&engine_, kPhaseChurn);
   // The round's first actor: every later phase's streams hang off this.
   round_seed_ = Mix64(HashCombine(config_.seed, ctx.round));
-  if (!overlay_ || !overlay_->has_sharded_rejoin()) {
-    ApplyScenarioTransitions(ctx.round);
-    churn_->AdvanceTo(ctx.time);
-    return;
-  }
   // Flip events apply serially in event order (the dense online index
   // and the replica-pull accounting are order-sensitive); the expensive
-  // part -- rebuilding a rejoined member's routing table -- is deferred
+  // part -- rebuilding a rejoined member's routing table -- is queued
   // by OnChurnFlip, deduped, and rebuilt in parallel below, one task per
   // distinct member writing only its own table.  Rebuilds are pure
   // functions of (membership, rng) -- they never read online state -- so
   // running them after the round's remaining flips changes nothing.
+  // Scenario heals queue their members the same way.
   rejoin_queue_.clear();
-  defer_rejoins_ = true;
-  // Scenario heals fire the rejoin observers inside the deferral window
-  // so a healed cluster's members rebuild through the same deduped
-  // parallel path as ordinary rejoins.
   ApplyScenarioTransitions(ctx.round);
   churn_->AdvanceTo(ctx.time);
-  defer_rejoins_ = false;
   if (rejoin_queue_.empty()) return;
   // Dedup is mandatory, not an optimization: a member that flipped
   // online twice in one round must rebuild exactly once (two tasks would
@@ -1159,13 +1148,7 @@ void PdhtSystem::OnChurnFlip(net::PeerId peer, bool online) {
   if (!nodes_[peer].is_dht_member()) return;
   // Rejoin: refresh routing state (piggybacked, free) and pull missed
   // replica updates (one pull + one response).
-  if (overlay_) {
-    if (defer_rejoins_) {
-      rejoin_queue_.push_back(peer);
-    } else {
-      overlay_->OnPeerRejoin(peer);
-    }
-  }
+  if (overlay_) rejoin_queue_.push_back(peer);
   network_->CountOnly(net::MessageType::kReplicaPull, 2);
 }
 

@@ -360,7 +360,6 @@ class PdhtSystem {
   /// partitioned boundary drain.
   void SetupWorkers();
 
-  overlay::LookupResult DhtLookup(net::PeerId origin, uint64_t key);
   /// The key's index replica group, written into a reused scratch buffer
   /// (valid until the next IndexReplicasOf call; callers iterate it
   /// immediately).  Keeps the per-insert/per-flood replica walk
@@ -573,10 +572,8 @@ class PdhtSystem {
   /// whether each task found an entry point (replica Puts at publish).
   std::vector<uint64_t> update_tasks_;
   std::vector<uint8_t> update_inserted_;
-  /// Churn-phase rejoin deferral: while the churn actor drains
-  /// flip events, OnChurnFlip queues member rejoins here instead of
-  /// rebuilding inline; the actor dedupes and rebuilds them in parallel.
-  bool defer_rejoins_ = false;
+  /// Churn-phase rejoins: OnChurnFlip queues rejoining members here; the
+  /// churn actor dedupes and rebuilds them in parallel.
   std::vector<net::PeerId> rejoin_queue_;
 
   /// Phase indices for EnablePhaseTiming/AddPhaseMs; must match the name

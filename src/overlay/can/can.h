@@ -110,7 +110,7 @@ class CanOverlay : public StructuredOverlay {
   /// Probes random neighbors of `peer`.  Zones and neighbor lists are
   /// static here, so a probe that finds its target offline detects the
   /// stale neighbor but repairs nothing; rejoin needs no refresh either
-  /// (OnPeerRejoin keeps the base no-op).
+  /// (RejoinNode keeps the base no-op).
   MaintenanceStats ProbeMember(net::PeerId peer, uint32_t probes,
                                Rng& rng) override;
   Rng& MaintenanceRng() override { return rng_; }

@@ -90,13 +90,9 @@ class ChordOverlay : public StructuredOverlay {
     return ring_[slot].table.size();
   }
 
-  /// Rejoin refresh, free/piggybacked (paper Section 3.3.1).
-  void OnPeerRejoin(net::PeerId peer) override { RefreshNode(peer); }
-
-  /// Table rebuilds draw no randomness, so the sharded rejoin is plain
-  /// RefreshNode -- safe for distinct peers in parallel (BuildTable
-  /// writes only the named member's table).
-  bool has_sharded_rejoin() const override { return true; }
+  /// Rejoin refresh (paper Section 3.3.1).  Table rebuilds draw no
+  /// randomness, so this is plain RefreshNode -- safe for distinct peers
+  /// in parallel (BuildTable writes only the named member's table).
   void RejoinNode(net::PeerId peer, Rng& rng) override {
     (void)rng;
     RefreshNode(peer);

@@ -282,10 +282,6 @@ uint64_t KademliaOverlay::RoutingFingerprint() const {
   return h;
 }
 
-void KademliaOverlay::RefreshNode(net::PeerId peer) {
-  if (nodes_.count(peer) > 0) BuildBuckets(peer, rng_);
-}
-
 size_t KademliaOverlay::TableSize(net::PeerId peer) const {
   auto it = nodes_.find(peer);
   if (it == nodes_.end()) return 0;

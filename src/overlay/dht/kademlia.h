@@ -84,17 +84,12 @@ class KademliaOverlay : public StructuredOverlay {
   }
 
   /// Rejoin refresh: rebuilds the peer's buckets from current membership.
-  void OnPeerRejoin(net::PeerId peer) override { RefreshNode(peer); }
-
-  /// Bucket rebuild draws (the over-full shuffle) route through the
-  /// caller's Rng, so distinct peers rebuild concurrently without
-  /// touching the shared stream.
-  bool has_sharded_rejoin() const override { return true; }
+  /// The over-full bucket shuffle draws from the caller's Rng, so
+  /// distinct peers rebuild concurrently without touching the shared
+  /// stream.
   void RejoinNode(net::PeerId peer, Rng& rng) override {
     if (nodes_.count(peer) > 0) BuildBuckets(peer, rng);
   }
-
-  void RefreshNode(net::PeerId peer);
 
   /// Order-sensitive hash over every member's buckets (determinism-test
   /// hook).
@@ -122,7 +117,7 @@ class KademliaOverlay : public StructuredOverlay {
   };
 
   /// Rebuilds `peer`'s buckets; the over-full shuffle draws from `rng`
-  /// (serial callers pass rng_, sharded rejoin passes a per-peer stream).
+  /// (construction passes rng_, RejoinNode the caller's per-peer stream).
   void BuildBuckets(net::PeerId peer, Rng& rng);
   /// Probes random contacts of `peer` and replaces a detected-offline
   /// one with an online member of the same bucket (free, piggybacked);

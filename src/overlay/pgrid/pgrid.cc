@@ -112,13 +112,12 @@ std::vector<net::PeerId> PGridOverlay::PeersUnder(
   return out;
 }
 
-void PGridOverlay::BuildRefsFor(net::PeerId peer) {
-  NodeState& st = paths_[peer];
+void PGridOverlay::BuildRefsFor(NodeState& st, Rng& rng) {
   st.levels.assign(static_cast<size_t>(st.path.length()), LevelRefs{});
   for (int l = 0; l < st.path.length(); ++l) {
     // Candidates: peers under the sibling prefix at level l.
     std::vector<net::PeerId> cands = PeersUnder(st.path.SiblingAt(l));
-    rng_.Shuffle(cands.data(), cands.size());
+    rng.Shuffle(cands.data(), cands.size());
     uint32_t want = std::min<uint32_t>(config_.refs_per_level,
                                        static_cast<uint32_t>(cands.size()));
     st.levels[l].refs.assign(cands.begin(), cands.begin() + want);
@@ -127,8 +126,8 @@ void PGridOverlay::BuildRefsFor(net::PeerId peer) {
 
 void PGridOverlay::BuildRoutingTables() {
   for (auto& [peer, st] : paths_) {
-    (void)st;
-    BuildRefsFor(peer);
+    (void)peer;
+    BuildRefsFor(st, rng_);
   }
 }
 
@@ -261,8 +260,10 @@ uint64_t PGridOverlay::RoutingFingerprint() const {
   return h;
 }
 
-void PGridOverlay::RefreshNode(net::PeerId peer) {
-  if (paths_.count(peer)) BuildRefsFor(peer);
+void PGridOverlay::RejoinNode(net::PeerId peer, Rng& rng) {
+  // find, not operator[]: rejoins run concurrently on distinct peers.
+  auto it = paths_.find(peer);
+  if (it != paths_.end()) BuildRefsFor(it->second, rng);
 }
 
 double PGridOverlay::StaleReferenceFraction() const {

@@ -103,11 +103,11 @@ class PGridOverlay : public StructuredOverlay {
   /// every member (determinism-test hook).
   uint64_t RoutingFingerprint() const override;
 
-  /// Rejoin refresh, free/piggybacked.
-  void OnPeerRejoin(net::PeerId peer) override { RefreshNode(peer); }
-
-  /// Rebuilds a peer's references from current paths (rejoin refresh).
-  void RefreshNode(net::PeerId peer);
+  /// Rejoin refresh: rebuilds the peer's references from current paths,
+  /// shuffling candidates with the caller's Rng.  Writes only that
+  /// member's references and reads other members' paths, which never
+  /// change after construction, so distinct peers rebuild concurrently.
+  void RejoinNode(net::PeerId peer, Rng& rng) override;
 
   /// Empty string when the trie is well-formed (paths prefix-free and
   /// covering: every key id has >= 1 responsible peer). Test-support API.
@@ -125,7 +125,7 @@ class PGridOverlay : public StructuredOverlay {
   };
 
   void BuildRoutingTables();
-  void BuildRefsFor(net::PeerId peer);
+  void BuildRefsFor(NodeState& st, Rng& rng);
   /// Peers whose path starts with prefix (exact prefix match on paths).
   std::vector<net::PeerId> PeersUnder(const TriePath& prefix) const;
 

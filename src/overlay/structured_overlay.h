@@ -271,8 +271,10 @@ class StructuredOverlay {
   /// Provisions `n` lookup slots so up to `n` concurrent Lookup calls --
   /// each on its own thread with a distinct CurrentLookupSlot() -- can
   /// share this overlay instance.  Concurrent lookups must only *read*
-  /// routing tables: SetMembers/maintenance/rejoin repairs stay serial
-  /// phases.  Default is 1 slot; calling mid-lookup is undefined.
+  /// routing tables: SetMembers, maintenance and rejoin rebuilds run in
+  /// phases of their own (maintenance probes and rejoin rebuilds run in
+  /// parallel there, each task writing only its own member's table).
+  /// Default is 1 slot; calling mid-lookup is undefined.
   void SetLookupSlots(uint32_t n) {
     driver_.SetSlots(n);
     ResizeLookupSlots(n == 0 ? 1 : n);
@@ -340,22 +342,15 @@ class StructuredOverlay {
   /// round probes from (0 = nothing to probe).
   virtual size_t MemberTableSize(size_t slot) const = 0;
 
-  /// A member came back online after churn downtime: refresh its routing
-  /// state (free, piggybacked).  Backends with static routing state (CAN
-  /// zones) keep the no-op default.
-  virtual void OnPeerRejoin(net::PeerId peer) { (void)peer; }
-
-  /// Sharded-rejoin opt-in: RejoinNode(peer, rng) must rebuild exactly
-  /// the named peer's routing state, drawing randomness only from `rng`
-  /// and reading only shared state that is frozen while the engine's
-  /// churn phase rebuilds distinct peers concurrently.  Backends with a
-  /// shared-Rng rebuild (Kademlia's bucket shuffle) opt in by routing
-  /// the draw through the parameter; the default keeps the serial
-  /// OnPeerRejoin path.
-  virtual bool has_sharded_rejoin() const { return false; }
+  /// A member came back online after churn downtime: rebuild exactly its
+  /// routing state from current membership (free, piggybacked; paper
+  /// Section 3.3.1).  Draws randomness only from `rng` and reads only
+  /// shared state that is frozen during the churn phase, which rebuilds
+  /// distinct members concurrently.  Backends with static routing state
+  /// (CAN zones) keep the no-op default.
   virtual void RejoinNode(net::PeerId peer, Rng& rng) {
+    (void)peer;
     (void)rng;
-    OnPeerRejoin(peer);
   }
 
   /// Order-sensitive hash of every member's routing table (entry order

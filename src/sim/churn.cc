@@ -1,8 +1,19 @@
 #include "sim/churn.h"
 
 #include <cassert>
+#include <cmath>
 
 namespace pdht::sim {
+
+std::string ChurnConfig::Validate() const {
+  if (!(std::isfinite(mean_online_s) && mean_online_s > 0.0)) {
+    return "churn.mean_online_s must be finite and > 0";
+  }
+  if (!(std::isfinite(mean_offline_s) && mean_offline_s > 0.0)) {
+    return "churn.mean_offline_s must be finite and > 0";
+  }
+  return "";
+}
 
 ChurnModel::ChurnModel(uint32_t num_peers, const ChurnConfig& config, Rng rng)
     : config_(config),

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <string>
 #include <vector>
 
 #include "util/rng.h"
@@ -46,6 +47,10 @@ struct ChurnConfig {
     if (!enabled) return 1.0;
     return mean_online_s / (mean_online_s + mean_offline_s);
   }
+
+  /// Empty when self-consistent: both means finite and > 0 (a zero mean
+  /// makes every session 0 s long, so AdvanceTo never finishes).
+  std::string Validate() const;
 };
 
 /// Tracks the on/off state of `n` peers in simulated time.

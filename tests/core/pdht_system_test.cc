@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -48,16 +49,27 @@ TEST(SystemConfigTest, RejectsBadTtlScale) {
 TEST(SystemConfigTest, ConstructorThrowsOnOutOfRangeConfig) {
   // Validation must hold in every build type, not only where assert is
   // compiled in: an out-of-range thread count would otherwise size the
-  // worker pool unchecked.
-  SystemConfig c = BaseConfig(Strategy::kPartialTtl);
-  c.sim_threads = 300;
-  const std::string err = c.Validate();
-  ASSERT_FALSE(err.empty());
-  try {
-    PdhtSystem sys(c);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_EQ(e.what(), err);
+  // worker pool unchecked, and zero churn means would hang round 1 (every
+  // session is 0 s long, so the churn model flips the same peer forever).
+  std::vector<SystemConfig> bad;
+  bad.push_back(BaseConfig(Strategy::kPartialTtl));
+  bad.back().sim_threads = 300;
+  bad.push_back(BaseConfig(Strategy::kPartialTtl));
+  bad.back().churn.enabled = true;
+  bad.back().churn.mean_online_s = 0.0;
+  bad.back().churn.mean_offline_s = 0.0;
+  bad.push_back(BaseConfig(Strategy::kPartialTtl));
+  bad.back().churn.enabled = true;
+  bad.back().churn.mean_offline_s = -1800.0;
+  for (const SystemConfig& c : bad) {
+    const std::string err = c.Validate();
+    ASSERT_FALSE(err.empty());
+    try {
+      PdhtSystem sys(c);
+      FAIL() << "expected std::invalid_argument for: " << err;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(e.what(), err);
+    }
   }
 }
 

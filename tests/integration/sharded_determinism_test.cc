@@ -179,9 +179,11 @@ TEST(ShardedDeterminismTest, MaintenanceFingerprintMatrixChord) {
 TEST(ShardedDeterminismTest, MaintenanceFingerprintMatrixPGrid) {
   // P-Grid's sharded maintenance repairs reference lists from worker
   // threads (each task writes only its own member's refs; candidate
-  // scans read the other members' frozen paths).  The fingerprint hashes
-  // every path and per-level reference list, so a single repair landing
-  // in a different slot at a different thread count would show.
+  // scans read the other members' frozen paths), and its churn rejoins
+  // rebuild reference lists on worker threads too, each shuffling with
+  // its member's per-peer stream.  The fingerprint hashes every path and
+  // per-level reference list, so a single repair or rebuild landing in a
+  // different slot at a different thread count would show.
   SystemConfig base = BaseConfig(Strategy::kPartialTtl);
   base.backend = DhtBackend::kPGrid;
   const RunRecord ref = RunOnce(Sharded(base, 1, 1));

@@ -20,6 +20,7 @@
 #include "net/rtt_estimator.h"
 #include "overlay/structured_overlay.h"
 #include "sim/event_queue.h"
+#include "util/hash.h"
 
 namespace pdht {
 namespace {
@@ -34,10 +35,14 @@ class BackendParity : public ::testing::TestWithParam<core::DhtBackend> {
       members.push_back(i);
       net.SetOnline(i, true);
     }
+    ov = MakeBackendOverlay();
+  }
+
+  std::unique_ptr<overlay::StructuredOverlay> MakeBackendOverlay() {
     overlay::OverlayParams op;
     op.repl = kRepl;
     op.num_peers = kMembers;
-    ov = overlay::MakeOverlay(GetParam(), &net, op, Rng(7));
+    return overlay::MakeOverlay(GetParam(), &net, op, Rng(7));
   }
 
   CounterRegistry counters;
@@ -117,6 +122,31 @@ TEST_P(BackendParity, MaintenanceRoundsDontLoseMembership) {
     }
   }
   EXPECT_GT(successes, 25);
+}
+
+TEST_P(BackendParity, RejoinIsPureFunctionOfMembershipAndCallerRng) {
+  // RejoinNode may draw only from the caller's Rng and read only frozen
+  // membership state, so rebuilding every member twice, each time from a
+  // fresh copy of the same stream, must leave the same tables as
+  // rebuilding once.  A rebuild that drew from the overlay's own stream
+  // would diverge, and the churn phase could not run rebuilds in parallel.
+  ASSERT_NE(ov, nullptr);
+  std::unique_ptr<overlay::StructuredOverlay> twice = MakeBackendOverlay();
+  ov->SetMembers(members);
+  twice->SetMembers(members);
+  ASSERT_EQ(ov->RoutingFingerprint(), twice->RoutingFingerprint());
+  for (net::PeerId p : members) {
+    Rng rng(Mix64(p));
+    ov->RejoinNode(p, rng);
+  }
+  for (int pass = 0; pass < 2; ++pass) {
+    for (net::PeerId p : members) {
+      Rng rng(Mix64(p));
+      twice->RejoinNode(p, rng);
+    }
+  }
+  EXPECT_EQ(ov->RoutingFingerprint(), twice->RoutingFingerprint());
+  EXPECT_EQ(twice->CheckInvariants(), "");
 }
 
 /// One trace, synthesized once, replayed verbatim by every backend: the

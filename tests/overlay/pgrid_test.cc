@@ -260,9 +260,10 @@ TEST(PGridTest, TableSizeNonZeroAfterBuild) {
   EXPECT_EQ(f.grid.TableSize(9999), 0u);
 }
 
-TEST(PGridTest, RefreshNodeRebuildsRefs) {
+TEST(PGridTest, RejoinNodeRebuildsRefs) {
   PGridFixture f(64);
-  f.grid.RefreshNode(0);
+  Rng rng(11);
+  f.grid.RejoinNode(0, rng);
   EXPECT_GT(f.grid.TableSize(0), 0u);
 }
 
