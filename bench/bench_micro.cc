@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks for the hot primitives of the library:
-// RNG, Zipf sampling, TTL-index operations, Chord lookups, analytical
-// model evaluation.  These guard the simulator's throughput (a 20,000-peer
-// run issues millions of these operations).
+// RNG, Zipf sampling, TTL-index operations, Chord lookups and successor
+// search, maintenance planning, analytical model evaluation.  These guard
+// the simulator's throughput (a 20,000-peer run issues millions of these
+// operations).
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +11,7 @@
 #include "model/selection_model.h"
 #include "net/network.h"
 #include "overlay/dht/chord.h"
+#include "sim/shard_pool.h"
 #include "util/rng.h"
 #include "util/zipf.h"
 
@@ -97,6 +99,48 @@ void BM_ChordLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ChordLookup)->Arg(256)->Arg(1024)->Arg(4096);
+
+// Successor search (ResponsibleMember = successor(KeyToNodeId(key))), the
+// inner step of every finger repair, table build and lookup start.
+void BM_ChordSuccessorIndex(benchmark::State& state) {
+  CounterRegistry counters;
+  net::Network net(&counters);
+  overlay::ChordOverlay chord(&net, Rng(6));
+  const uint32_t n = static_cast<uint32_t>(state.range(0));
+  std::vector<net::PeerId> members(n);
+  for (uint32_t i = 0; i < n; ++i) members[i] = i;
+  chord.SetMembers(members);
+  Rng pick(7);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(chord.ResponsibleMember(pick.Next()));
+  }
+}
+BENCHMARK(BM_ChordSuccessorIndex)->Arg(1000)->Arg(100000)->Arg(1000000);
+
+// The maintenance planner alone: budget accrual and task-list build over
+// 100k Chord members (every 4th offline), inline and on a 4-thread pool.
+void BM_PlanMaintenanceRound(benchmark::State& state) {
+  CounterRegistry counters;
+  net::Network net(&counters);
+  overlay::ChordOverlay chord(&net, Rng(6));
+  constexpr uint32_t kMembers = 100000;
+  std::vector<net::PeerId> members(kMembers);
+  for (uint32_t i = 0; i < kMembers; ++i) {
+    members[i] = i;
+    net.SetOnline(i, i % 4 != 0);
+  }
+  chord.SetMembers(members);
+  sim::ShardPool pool(static_cast<uint32_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(chord.PlanMaintenanceRound(0.35, &pool));
+    chord.FinishMaintenanceRound();
+  }
+}
+BENCHMARK(BM_PlanMaintenanceRound)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
 
 void BM_CostModelEvaluate(benchmark::State& state) {
   model::ScenarioParams p;

@@ -527,8 +527,10 @@ QueryOutcome PdhtSystem::ExecuteQuery(uint64_t key) {
 //
 // Every task phase (maintenance, queries, updates) runs in three steps
 // (docs/architecture.md):
-//  1. PLAN (serial): decide the round's task list -- the same sequence no
-//     matter how many threads or shards run the phase.
+//  1. PLAN: decide the round's task list -- the same sequence no matter
+//     how many threads or shards run the phase.  The query and
+//     maintenance plans are counting sorts over fixed chunks on the
+//     pool; the update plan draws off the main stream serially.
 //  2. EXECUTE (parallel, inline at one thread): the worker pool claims
 //     chunks of tasks; each task draws from its own Rng derived from the
 //     round seed and the task index, counts messages into its worker's
@@ -986,13 +988,15 @@ void PdhtSystem::PublishQueryResults() {
 void PdhtSystem::RunMaintenanceActor(sim::RoundContext& /*ctx*/) {
   if (config_.strategy == Strategy::kNoIndex || !overlay_) return;
   ScopedPhaseMs timer(&engine_, kPhaseMaint);
-  // PLAN (serial): the overlay consumes its fractional budgets in
-  // canonical member order and freezes the round's task list.  EXECUTE:
-  // each task probes/repairs exactly one member's own routing table
-  // against the frozen membership snapshot.  PUBLISH: lane merge and
-  // deferred replay, then the overlay folds its per-task repair stats.
+  // PLAN (parallel, fixed chunks of member slots): the overlay accrues
+  // its fractional budgets and freezes the round's task list in
+  // canonical member order -- the same list at any thread count.
+  // EXECUTE: each task probes/repairs exactly one member's own routing
+  // table against the frozen membership snapshot.  PUBLISH: lane merge
+  // and deferred replay, then the overlay folds its per-task repair
+  // stats.
   const uint32_t num_tasks =
-      overlay_->PlanMaintenanceRound(config_.params.env);
+      overlay_->PlanMaintenanceRound(config_.params.env, pool_.get());
   if (num_tasks > 0) {
     const uint64_t maint_seed =
         Mix64(HashCombine(round_seed_, 0x6d61696e74ULL));  // "maint"

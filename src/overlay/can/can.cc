@@ -228,8 +228,8 @@ void CanOverlay::NextHops(const RouteState& state, uint64_t /*key*/,
   }
 }
 
-MaintenanceStats CanOverlay::ProbeMember(net::PeerId peer, uint32_t probes,
-                                         Rng& rng) {
+MaintenanceStats CanOverlay::ProbeMember(size_t /*slot*/, net::PeerId peer,
+                                         uint32_t probes, Rng& rng) {
   const auto& nbrs = NeighborsOf(peer);
   MaintenanceStats stats;
   for (uint32_t p = 0; p < probes; ++p) {

@@ -111,8 +111,8 @@ class CanOverlay : public StructuredOverlay {
   /// static here, so a probe that finds its target offline detects the
   /// stale neighbor but repairs nothing; rejoin needs no refresh either
   /// (RejoinNode keeps the base no-op).
-  MaintenanceStats ProbeMember(net::PeerId peer, uint32_t probes,
-                               Rng& rng) override;
+  MaintenanceStats ProbeMember(size_t slot, net::PeerId peer,
+                               uint32_t probes, Rng& rng) override;
   Rng& MaintenanceRng() override { return rng_; }
 
   /// Per-lookup routing state, one entry per lookup slot (set in

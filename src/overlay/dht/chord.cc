@@ -15,9 +15,9 @@ ChordOverlay::ChordOverlay(net::Network* network, Rng rng,
     : StructuredOverlay(network), maint_rng_(rng.Fork()),
       successor_list_size_(successor_list_size) {}
 
-MaintenanceStats ChordOverlay::ProbeMember(net::PeerId peer, uint32_t probes,
-                                           Rng& rng) {
-  FingerTable* table = TableOf(peer);
+MaintenanceStats ChordOverlay::ProbeMember(size_t slot, net::PeerId peer,
+                                           uint32_t probes, Rng& rng) {
+  FingerTable* table = &ring_[slot].table;
   MaintenanceStats st;
   for (uint32_t i = 0; i < probes; ++i) {
     // The size is re-read per probe: a successor repair can shrink this
@@ -35,7 +35,7 @@ MaintenanceStats ChordOverlay::ProbeMember(net::PeerId peer, uint32_t probes,
     if (!network_->IsOnline(entry.peer)) {
       ++st.stale_detected;
       // Repair is free (piggybacked), per the paper's assumption.
-      RepairFinger(peer, idx);
+      RepairEntry(slot, idx);
       ++st.repairs;
     }
   }
@@ -91,13 +91,16 @@ double ChordOverlay::ProgressWeightMs() const {
 }
 
 size_t ChordOverlay::SuccessorIndex(NodeId id) const {
-  assert(!ring_.empty());
-  // First member with member.id >= id; wraps to 0.
-  auto it = std::lower_bound(
-      ring_.begin(), ring_.end(), id,
-      [](const Member& m, NodeId v) { return m.id < v; });
-  if (it == ring_.end()) return 0;
-  return static_cast<size_t>(it - ring_.begin());
+  assert(!ring_ids_.empty());
+  // First member with member.id >= id; wraps to 0.  Ids in earlier
+  // buckets are < id and ids in later ones > id, so the answer lies in
+  // [start of id's bucket, start of the next one].
+  const size_t b = BucketOf(id);
+  const auto it = std::lower_bound(ring_ids_.begin() + bucket_start_[b],
+                                   ring_ids_.begin() + bucket_start_[b + 1],
+                                   id);
+  if (it == ring_ids_.end()) return 0;
+  return static_cast<size_t>(it - ring_ids_.begin());
 }
 
 void ChordOverlay::BuildTable(Member& m) {
@@ -119,8 +122,7 @@ void ChordOverlay::BuildTable(Member& m) {
   }
   // Successor list.
   auto& succ = m.table.successors();
-  const size_t my_idx = RingIndexOf(m.peer);
-  assert(my_idx != kNotMember);
+  const size_t my_idx = static_cast<size_t>(&m - ring_.data());
   succ.reserve(successor_list_size_);
   for (uint32_t k = 1;
        k <= successor_list_size_ && k < ring_.size(); ++k) {
@@ -139,6 +141,7 @@ void ChordOverlay::AddMember(net::PeerId peer) {
   ring_.insert(it, std::move(nm));
   ReindexRing();
   members_cache_valid_ = false;
+  ResetMaintenanceBudgets();
   BuildTable(ring_[pos]);
   // Join traffic: Chord's join costs O(log^2 n) messages to populate the
   // new node's table and notify affected nodes.  Count it explicitly.
@@ -167,6 +170,7 @@ void ChordOverlay::RemoveMember(net::PeerId peer) {
   ring_.erase(ring_.begin() + idx);
   ReindexRing();
   members_cache_valid_ = false;
+  ResetMaintenanceBudgets();
   // Entries pointing at the departed peer are repaired lazily by
   // maintenance (or eagerly here for tests via RefreshNode).
 }
@@ -177,10 +181,21 @@ bool ChordOverlay::IsMember(net::PeerId peer) const {
 
 void ChordOverlay::ReindexRing() {
   std::fill(ring_index_.begin(), ring_index_.end(), kNotMember);
-  for (size_t i = 0; i < ring_.size(); ++i) {
+  const size_t n = ring_.size();
+  ring_ids_.resize(n);
+  for (size_t i = 0; i < n; ++i) {
     const net::PeerId peer = ring_[i].peer;
     if (peer >= ring_index_.size()) ring_index_.resize(peer + 1, kNotMember);
     ring_index_[peer] = static_cast<uint32_t>(i);
+    ring_ids_[i] = ring_[i].id;
+  }
+  bucket_bits_ = n <= 1 ? 0 : CeilLog2(n);
+  const size_t buckets = size_t{1} << bucket_bits_;
+  bucket_start_.resize(buckets + 1);
+  size_t i = 0;
+  for (size_t b = 0; b <= buckets; ++b) {
+    while (i < n && BucketOf(ring_ids_[i]) < b) ++i;
+    bucket_start_[b] = static_cast<uint32_t>(i);
   }
 }
 
@@ -355,9 +370,8 @@ void ChordOverlay::RefreshNode(net::PeerId peer) {
   if (m != nullptr) BuildTable(*m);
 }
 
-void ChordOverlay::RepairFinger(net::PeerId peer, size_t idx) {
-  Member* m = FindMember(peer);
-  if (m == nullptr) return;
+void ChordOverlay::RepairEntry(size_t slot, size_t idx) {
+  Member* m = &ring_[slot];
   auto& fingers = m->table.fingers();
   if (idx < fingers.size()) {
     size_t si = SuccessorIndex(fingers[idx].start);
@@ -379,12 +393,10 @@ void ChordOverlay::RepairFinger(net::PeerId peer, size_t idx) {
     // Rebuild the successor list from the next *online* members so the
     // repair actually removes staleness (an offline successor would be
     // re-detected immediately).
-    const size_t my_idx = RingIndexOf(peer);
-    assert(my_idx != kNotMember);
     succ.clear();
     for (size_t k = 1;
          k < ring_.size() && succ.size() < successor_list_size_; ++k) {
-      const Member& s = ring_[(my_idx + k) % ring_.size()];
+      const Member& s = ring_[(slot + k) % ring_.size()];
       if (!network_->IsOnline(s.peer)) continue;
       succ.push_back(FingerEntry{s.id, s.peer, s.id});
     }

@@ -43,6 +43,8 @@ class ChordOverlay : public StructuredOverlay {
   void AddMember(net::PeerId peer);
 
   /// Removes a member permanently (not churn -- actual departure).
+  /// AddMember and RemoveMember move ring slots, so both restart every
+  /// member's fractional maintenance budget, as SetMembers does.
   void RemoveMember(net::PeerId peer);
 
   bool IsMember(net::PeerId peer) const override;
@@ -102,12 +104,9 @@ class ChordOverlay : public StructuredOverlay {
   /// lists of every member (determinism-test hook).
   uint64_t RoutingFingerprint() const override;
 
-  /// Rebuilds one node's routing state from current membership; called by
-  /// maintenance on finger repair and on rejoin after churn.
+  /// Rebuilds one node's routing state from current membership; called
+  /// on rejoin after churn.
   void RefreshNode(net::PeerId peer);
-
-  /// Recomputes where finger `idx` of `peer` should point and updates it.
-  void RepairFinger(net::PeerId peer, size_t idx);
 
   FingerTable* TableOf(net::PeerId peer);
   const FingerTable* TableOf(net::PeerId peer) const;
@@ -129,30 +128,51 @@ class ChordOverlay : public StructuredOverlay {
   };
 
   /// Index into ring_ of successor(id) (the first member with
-  /// member.id >= id, wrapping).
+  /// member.id >= id, wrapping): a binary search of ring_ids_ narrowed to
+  /// the id's bucket.
   size_t SuccessorIndex(NodeId id) const;
+  /// bucket_start_ index of `id`: its top bucket_bits_ bits.
+  size_t BucketOf(NodeId id) const {
+    return bucket_bits_ == 0 ? 0
+                             : static_cast<size_t>(id >> (64 - bucket_bits_));
+  }
+  /// Rebuilds the table of `m`, an element of ring_.
   void BuildTable(Member& m);
   Member* FindMember(net::PeerId peer);
   const Member* FindMember(net::PeerId peer) const;
 
-  /// Probes random fingers/successors of `peer`; a stale one is repaired
-  /// in place (RepairFinger), so stale == repairs.
-  MaintenanceStats ProbeMember(net::PeerId peer, uint32_t probes,
-                               Rng& rng) override;
+  /// Recomputes where table entry `idx` (fingers first, then successors)
+  /// of ring_[slot] should point, skipping offline members.
+  void RepairEntry(size_t slot, size_t idx);
+
+  /// Probes random fingers/successors of ring_[slot]; a stale one is
+  /// repaired in place (RepairEntry), so stale == repairs.
+  MaintenanceStats ProbeMember(size_t slot, net::PeerId peer,
+                               uint32_t probes, Rng& rng) override;
   Rng& MaintenanceRng() override { return maint_rng_; }
 
   Rng maint_rng_;  ///< serial maintenance stream (Chord's only draws)
   uint32_t successor_list_size_;
   std::vector<Member> ring_;  // sorted by id
   /// ring_ position of every member, indexed by peer id (kNotMember for
-  /// non-members): one load per member lookup on the maintenance and
-  /// routing hot paths.
+  /// non-members): one load per member lookup on the routing hot path
+  /// (maintenance tasks carry their ring slot and skip it).
   static constexpr uint32_t kNotMember = UINT32_MAX;
   std::vector<uint32_t> ring_index_;
   uint32_t RingIndexOf(net::PeerId peer) const {
     return peer < ring_index_.size() ? ring_index_[peer] : kNotMember;
   }
-  /// Rebuilds ring_index_ after ring_ changed.
+  /// ring_[i].id for every i: the successor search scans 8 bytes per
+  /// member instead of the 64-byte Member.
+  std::vector<NodeId> ring_ids_;
+  /// bucket_start_[b] is the first ring_ids_ index whose id has top
+  /// bucket_bits_ bits >= b (2^bucket_bits_ + 1 entries), so bucket b's
+  /// ids are [bucket_start_[b], bucket_start_[b + 1]).  bucket_bits_ =
+  /// ceil(log2 n) leaves about one member per bucket.
+  std::vector<uint32_t> bucket_start_;
+  int bucket_bits_ = 0;
+  /// Rebuilds ring_index_, ring_ids_ and bucket_start_ after ring_
+  /// changed.
   void ReindexRing();
   mutable std::vector<net::PeerId> members_cache_;
   mutable bool members_cache_valid_ = false;

@@ -214,7 +214,8 @@ bool KademliaOverlay::FallbackHop(const RouteState& state, uint64_t /*key*/,
   return true;
 }
 
-MaintenanceStats KademliaOverlay::ProbeMember(net::PeerId peer,
+MaintenanceStats KademliaOverlay::ProbeMember(size_t /*slot*/,
+                                              net::PeerId peer,
                                               uint32_t probes, Rng& rng) {
   NodeState& st = nodes_.at(peer);
   // Bucket sizes never change during a round (repair swaps contacts in

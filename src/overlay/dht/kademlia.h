@@ -123,8 +123,8 @@ class KademliaOverlay : public StructuredOverlay {
   /// one with an online member of the same bucket (free, piggybacked);
   /// a stale contact with no live replacement stays unrepaired.  Bucket
   /// sizes never change (repair swaps in place).
-  MaintenanceStats ProbeMember(net::PeerId peer, uint32_t probes,
-                               Rng& rng) override;
+  MaintenanceStats ProbeMember(size_t slot, net::PeerId peer,
+                               uint32_t probes, Rng& rng) override;
   Rng& MaintenanceRng() override { return rng_; }
   /// Members whose id differs from `id` first at bit `bucket`.
   std::vector<net::PeerId> BucketCandidates(NodeId id, int bucket) const;

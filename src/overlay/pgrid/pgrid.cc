@@ -209,8 +209,8 @@ size_t PGridOverlay::TableSize(net::PeerId peer) const {
   return total;
 }
 
-MaintenanceStats PGridOverlay::ProbeMember(net::PeerId peer, uint32_t probes,
-                                           Rng& rng) {
+MaintenanceStats PGridOverlay::ProbeMember(size_t /*slot*/, net::PeerId peer,
+                                           uint32_t probes, Rng& rng) {
   NodeState& st = paths_.at(peer);
   const size_t table = TableSize(peer);
   MaintenanceStats stats;

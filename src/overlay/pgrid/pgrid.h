@@ -133,8 +133,8 @@ class PGridOverlay : public StructuredOverlay {
   /// same sibling subtree (free, piggybacked); repair writes only this
   /// member's reference slot, and the candidate scan reads other
   /// members' paths, which never change after construction.
-  MaintenanceStats ProbeMember(net::PeerId peer, uint32_t probes,
-                               Rng& rng) override;
+  MaintenanceStats ProbeMember(size_t slot, net::PeerId peer,
+                               uint32_t probes, Rng& rng) override;
   Rng& MaintenanceRng() override { return rng_; }
 
   Rng rng_;

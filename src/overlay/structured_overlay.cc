@@ -8,6 +8,7 @@
 #include "overlay/dht/chord.h"
 #include "overlay/dht/kademlia.h"
 #include "overlay/pgrid/pgrid.h"
+#include "sim/shard_pool.h"
 #include "util/hash.h"
 
 namespace pdht::overlay {
@@ -43,30 +44,84 @@ uint64_t StructuredOverlay::RunMaintenanceRound(double env) {
   return FinishMaintenanceRound();
 }
 
-uint32_t StructuredOverlay::PlanMaintenanceRound(double env) {
-  maint_tasks_.clear();
+/// Maintenance planner chunk: fixed size so the chunk partition -- and
+/// with it every task offset -- is a pure function of the member count,
+/// never of the pool.
+constexpr uint32_t kMaintPlanChunk = 8192;
+
+uint32_t StructuredOverlay::PlanMaintenanceRound(double env,
+                                                 sim::ShardPool* pool) {
   const std::vector<net::PeerId>& mem = members();
-  for (size_t slot = 0; slot < mem.size(); ++slot) {
-    const net::PeerId peer = mem[slot];
-    if (!network_->IsOnline(peer)) continue;
-    const size_t table_size = MemberTableSize(slot);
-    if (table_size == 0) continue;
-    if (peer >= maint_budget_.size()) maint_budget_.resize(peer + 1, 0.0);
-    double& budget = maint_budget_[peer];
-    budget += env * static_cast<double>(table_size);
-    // floor + subtract leaves the same residual as spending the budget
-    // one probe at a time (subtracting an integer from a double this
-    // size is exact).
-    const uint32_t probes = static_cast<uint32_t>(budget);
-    budget -= static_cast<double>(probes);
-    if (probes > 0) maint_tasks_.push_back(MaintTask{peer, probes, {}});
+  const uint32_t num_slots = static_cast<uint32_t>(mem.size());
+  const uint32_t num_chunks =
+      (num_slots + kMaintPlanChunk - 1) / kMaintPlanChunk;
+  auto run_chunks = [&](const auto& body) {
+    if (pool != nullptr) {
+      pool->Run(num_chunks,
+                [&body](uint32_t /*w*/, uint32_t chunk) { body(chunk); });
+    } else {
+      for (uint32_t chunk = 0; chunk < num_chunks; ++chunk) body(chunk);
+    }
+  };
+  maint_budget_.resize(num_slots, 0.0);
+  maint_probes_.resize(num_slots);
+  maint_chunk_base_.assign(num_chunks, 0);
+  // Pass A (parallel): accrue each member's budget, record its whole
+  // probes, count the chunk's tasks.  Every array is indexed by slot, so
+  // each chunk reads and writes only its own contiguous range.
+  run_chunks([&](uint32_t chunk) {
+    const uint32_t begin = chunk * kMaintPlanChunk;
+    const uint32_t end = std::min(num_slots, begin + kMaintPlanChunk);
+    uint32_t tasks = 0;
+    for (uint32_t slot = begin; slot < end; ++slot) {
+      maint_probes_[slot] = 0;
+      const net::PeerId peer = mem[slot];
+      if (!network_->IsOnline(peer)) continue;
+      const size_t table_size = MemberTableSize(slot);
+      if (table_size == 0) continue;
+      double& budget = maint_budget_[slot];
+      budget += env * static_cast<double>(table_size);
+      // floor + subtract leaves the same residual as spending the budget
+      // one probe at a time (subtracting an integer from a double this
+      // size is exact).
+      const uint32_t probes = static_cast<uint32_t>(budget);
+      budget -= static_cast<double>(probes);
+      maint_probes_[slot] = probes;
+      if (probes > 0) ++tasks;
+    }
+    maint_chunk_base_[chunk] = tasks;
+  });
+  // Serial seam: exclusive prefix sum of the chunk counts = each chunk's
+  // first task index.
+  uint32_t total = 0;
+  for (uint32_t& base : maint_chunk_base_) {
+    const uint32_t tasks = base;
+    base = total;
+    total += tasks;
   }
-  return static_cast<uint32_t>(maint_tasks_.size());
+  // At most one task per member: reserving for every slot means the list
+  // never reallocates as its count drifts from round to round (each
+  // exact-size regrowth would leave a freed multi-MB block behind).
+  maint_tasks_.reserve(num_slots);
+  maint_tasks_.resize(total);
+  // Pass B (parallel): each chunk writes its tasks, in slot order, at its
+  // offset.
+  run_chunks([&](uint32_t chunk) {
+    const uint32_t begin = chunk * kMaintPlanChunk;
+    const uint32_t end = std::min(num_slots, begin + kMaintPlanChunk);
+    uint32_t task = maint_chunk_base_[chunk];
+    for (uint32_t slot = begin; slot < end; ++slot) {
+      if (maint_probes_[slot] > 0) {
+        maint_tasks_[task++] = MaintTask{slot, maint_probes_[slot], {}};
+      }
+    }
+  });
+  return total;
 }
 
 void StructuredOverlay::ExecuteMaintenanceTask(uint32_t task, Rng& rng) {
   MaintTask& t = maint_tasks_[task];
-  t.stats = ProbeMember(t.peer, t.probes, rng);
+  t.stats = ProbeMember(t.slot, members()[t.slot], t.probes, rng);
 }
 
 uint64_t StructuredOverlay::FinishMaintenanceRound() {

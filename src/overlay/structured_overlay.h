@@ -64,6 +64,10 @@
 #include "overlay/routing_driver.h"
 #include "util/rng.h"
 
+namespace pdht::sim {
+class ShardPool;
+}  // namespace pdht::sim
+
 namespace pdht::overlay {
 
 /// Outcome of one routed lookup.  The accounting contract is uniform
@@ -300,14 +304,20 @@ class StructuredOverlay {
   // offline lets the backend repair that entry for free.
   //
   // The round is split plan / execute / finish so the round engine can
-  // run the execute step in parallel:
+  // run both the plan and the execute step in parallel:
   //
-  //  * PlanMaintenanceRound (serial) accrues the budgets in members()
-  //    order and freezes one task per member with >= 1 whole probe; the
-  //    task list is a pure function of (budgets, table sizes, online
-  //    set).  Returns the task count N.
+  //  * PlanMaintenanceRound accrues the budgets and freezes one task per
+  //    member with >= 1 whole probe, in members() order; the task list
+  //    is a pure function of (budgets, table sizes, online set).  It is
+  //    a two-pass counting sort over fixed-size chunks of member slots
+  //    -- pass A accrues every member's budget and counts each chunk's
+  //    tasks, a serial prefix sum turns the counts into chunk offsets,
+  //    pass B writes each chunk's tasks at its offset -- run on `pool`
+  //    when one is given and inline otherwise.  The chunk partition
+  //    does not depend on the pool, so neither does the task list.
+  //    Returns the task count N.
   //  * ExecuteMaintenanceTask (any order, any thread, distinct tasks in
-  //    [0, N)) runs the backend's ProbeMember for the task's member,
+  //    [0, N)) runs the backend's ProbeMember for the task's member slot,
   //    drawing only from the caller's Rng.  ProbeMember writes only that
   //    member's own table and reads shared state (membership, other
   //    members' tables, Network::IsOnline) that the engine freezes for
@@ -316,16 +326,17 @@ class StructuredOverlay {
   //  * FinishMaintenanceRound (serial) folds the per-task stats into
   //    maintenance_stats() in task order and returns the round's probes.
   //
-  // RunMaintenanceRound is the three steps back to back, every task in
-  // order on the backend's MaintenanceRng().  Because a member's table is
-  // written only by its own probes, planning every member up front draws
-  // and sends exactly what probing the members one after another would.
+  // RunMaintenanceRound is the three steps back to back, planned inline
+  // and every task in order on the backend's MaintenanceRng().  Because
+  // a member's table is written only by its own probes, planning every
+  // member up front draws and sends exactly what probing the members one
+  // after another would.
 
   /// One maintenance round on the backend's serial Rng.  Returns probes
   /// sent.
   uint64_t RunMaintenanceRound(double env);
 
-  uint32_t PlanMaintenanceRound(double env);
+  uint32_t PlanMaintenanceRound(double env, sim::ShardPool* pool = nullptr);
   void ExecuteMaintenanceTask(uint32_t task, Rng& rng);
   uint64_t FinishMaintenanceRound();
 
@@ -386,16 +397,20 @@ class StructuredOverlay {
   /// StartLookup-scoped state.
   virtual void ResizeLookupSlots(uint32_t n) { (void)n; }
 
-  /// Maintenance hook: spends `probes` (>= 1) probes from `peer` on
-  /// uniformly random entries of its own table, drawing only from `rng`,
-  /// and repairs the stale ones it finds (contract above).
-  virtual MaintenanceStats ProbeMember(net::PeerId peer, uint32_t probes,
-                                       Rng& rng) = 0;
+  /// Maintenance hook: spends `probes` (>= 1) probes from `peer` --
+  /// members()[slot], passed both ways so backends that store tables in
+  /// members() order skip the peer-to-slot lookup -- on uniformly random
+  /// entries of its own table, drawing only from `rng`, and repairs the
+  /// stale ones it finds (contract above).
+  virtual MaintenanceStats ProbeMember(size_t slot, net::PeerId peer,
+                                       uint32_t probes, Rng& rng) = 0;
 
   /// The backend's serial stream for RunMaintenanceRound.
   virtual Rng& MaintenanceRng() = 0;
 
-  /// Zeroes every fractional probe budget; SetMembers calls it.
+  /// Zeroes every fractional probe budget.  Budgets are kept by
+  /// members() slot, so every call that changes members() must call it
+  /// (SetMembers; Chord's AddMember and RemoveMember).
   void ResetMaintenanceBudgets() { maint_budget_.clear(); }
 
   /// Sends one kRoutingProbe from `from` to `to` (ProbeMember helper).
@@ -405,17 +420,19 @@ class StructuredOverlay {
   PeerRttFn peer_rtt_;     ///< null = RTT-blind neighbor selection
 
  private:
-  /// One member's share of a planned round: its whole probes and, after
-  /// execution, what they found.
+  /// One member's share of a planned round: its members() slot, its
+  /// whole probes and, after execution, what they found.
   struct MaintTask {
-    net::PeerId peer = net::kInvalidPeer;
+    uint32_t slot = 0;
     uint32_t probes = 0;
     MaintenanceStats stats;
   };
 
   RoutingDriver driver_;
-  std::vector<double> maint_budget_;  ///< fractional carry, by peer id
+  std::vector<double> maint_budget_;  ///< fractional carry, by slot
   std::vector<MaintTask> maint_tasks_;
+  std::vector<uint32_t> maint_probes_;  ///< planner buffer: probes by slot
+  std::vector<uint32_t> maint_chunk_base_;  ///< planner buffer: task offsets
   MaintenanceStats maint_stats_;
 };
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "net/rtt_estimator.h"
 #include "overlay/structured_overlay.h"
 #include "sim/event_queue.h"
+#include "sim/shard_pool.h"
 #include "util/hash.h"
 
 namespace pdht {
@@ -408,6 +410,95 @@ TEST(MaintenanceParity, SerialAndSplitStreamsMatchRecordingBitForBit) {
       EXPECT_EQ(got.probes, want.probes) << what;
       EXPECT_EQ(got.fingerprint, want.fingerprint) << what;
       EXPECT_EQ(got.chain, want.chain) << what;
+    }
+  }
+}
+
+// --- Multi-chunk maintenance plan parity (recorded, bit-for-bit) --------
+//
+// The planner runs over fixed chunks of 8192 member slots; the suites
+// above use 64 members, a single chunk.  Here Chord runs with 20k members
+// -- three chunks, every 4th member offline so each chunk's task count
+// differs -- and the same rounds are planned inline and on pools of 2 and
+// 4 threads.  Tasks execute in order, each on a stream derived from
+// (round, task) as the round engine derives them, so the pinned values
+// check that task order and every task's slot and probe count are the
+// same whichever way the plan ran.  The values were recorded from the
+// serial planner, before it was split into chunks.  env 0.03 leaves three
+// of the ten rounds without any task.
+
+struct ChunkedMaintenanceResult {
+  std::vector<uint32_t> tasks;  ///< per round
+  uint64_t probes = 0;
+  uint64_t repairs = 0;
+  uint64_t chain = 1469598103934665603ull;  ///< FNV over every round's
+                                           ///< fingerprint
+};
+
+ChunkedMaintenanceResult ChunkedMaintenanceRun(double env,
+                                               uint32_t pool_threads) {
+  constexpr uint32_t kChunkedMembers = 20000;
+  CounterRegistry counters;
+  net::Network net(&counters);
+  std::vector<net::PeerId> members;
+  for (uint32_t i = 0; i < kChunkedMembers; ++i) {
+    members.push_back(i);
+    net.SetOnline(i, true);
+  }
+  overlay::OverlayParams op;
+  op.repl = kRepl;
+  op.num_peers = kChunkedMembers;
+  auto ov = overlay::MakeOverlay(core::DhtBackend::kChord, &net, op, Rng(7));
+  ov->SetMembers(members);
+  for (uint32_t i = 0; i < kChunkedMembers; i += 4) net.SetOnline(i, false);
+  std::unique_ptr<sim::ShardPool> pool;
+  if (pool_threads > 0) pool = std::make_unique<sim::ShardPool>(pool_threads);
+  ChunkedMaintenanceResult out;
+  for (uint64_t round = 0; round < 10; ++round) {
+    const uint32_t n = ov->PlanMaintenanceRound(env, pool.get());
+    out.tasks.push_back(n);
+    for (uint32_t t = 0; t < n; ++t) {
+      Rng rng(Mix64(HashCombine(round, t)));
+      ov->ExecuteMaintenanceTask(t, rng);
+    }
+    out.probes += ov->FinishMaintenanceRound();
+    out.chain = (out.chain ^ ov->RoutingFingerprint()) * 1099511628211ull;
+  }
+  out.repairs = ov->maintenance_stats().repairs;
+  return out;
+}
+
+TEST(MaintenanceParity, ChunkedPlanMatchesRecordingOnAnyPool) {
+  struct Recorded {
+    double env;
+    uint64_t tasks;  ///< summed over the rounds
+    uint64_t probes;
+    uint64_t repairs;
+    uint64_t chain;
+  };
+  const Recorded golden[] = {
+      {1.0, 150000, 3750000, 76079, 2988009152676394058ull},
+      {0.35, 150000, 1305000, 74123, 8956505158762024495ull},
+      {0.03, 105000, 105000, 21539, 17526234628091051164ull},
+  };
+  for (const Recorded& g : golden) {
+    const ChunkedMaintenanceResult inline_plan =
+        ChunkedMaintenanceRun(g.env, 0);
+    uint64_t tasks = 0;
+    for (uint32_t n : inline_plan.tasks) tasks += n;
+    const std::string what = "env " + std::to_string(g.env);
+    EXPECT_EQ(tasks, g.tasks) << what;
+    EXPECT_EQ(inline_plan.probes, g.probes) << what;
+    EXPECT_EQ(inline_plan.repairs, g.repairs) << what;
+    EXPECT_EQ(inline_plan.chain, g.chain) << what;
+    for (uint32_t threads : {2u, 4u}) {
+      const ChunkedMaintenanceResult pooled =
+          ChunkedMaintenanceRun(g.env, threads);
+      const std::string on = what + " on " + std::to_string(threads);
+      EXPECT_EQ(pooled.tasks, inline_plan.tasks) << on;
+      EXPECT_EQ(pooled.probes, inline_plan.probes) << on;
+      EXPECT_EQ(pooled.repairs, inline_plan.repairs) << on;
+      EXPECT_EQ(pooled.chain, inline_plan.chain) << on;
     }
   }
 }

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
 #include "overlay/dht/id.h"
 #include "stats/histogram.h"
+#include "util/bits.h"
 
 namespace pdht::overlay {
 namespace {
@@ -269,6 +271,87 @@ TEST(ChordTest, TinyRings) {
   LookupResult r1 = g.chord.Lookup(0, 5);
   EXPECT_TRUE(r1.success);
   EXPECT_EQ(r1.terminus, 0u);
+}
+
+// --- Successor index vs a linear-scan oracle ---------------------------
+//
+// ResponsibleMember resolves successor(KeyToNodeId(key)) through the
+// bucketed search over the dense id array.  The oracle scans every member
+// id; the probes hit the edges of that search: member ids themselves,
+// their neighbours id +/- 1, the first and last id of each member's
+// bucket neighbourhood, and the ring's wrap points 0 and UINT64_MAX.
+
+/// The key whose KeyToNodeId is `id` (KeyToNodeId is a bijection: an odd
+/// multiply, an xor and the invertible Mix64 finalizer).
+uint64_t KeyAtNodeId(NodeId id) {
+  uint64_t x = id;  // invert Mix64 step by step
+  x ^= (x >> 31) ^ (x >> 62);
+  x *= 0x319642b2d24d8ec3ULL;
+  x ^= (x >> 27) ^ (x >> 54);
+  x *= 0x96de1b173f119089ULL;
+  x ^= (x >> 30) ^ (x >> 60);
+  x ^= 0x6b657973ULL;
+  const uint64_t odd = 0x9e3779b97f4a7c15ULL;
+  uint64_t inv = odd;  // Newton: each step doubles the correct low bits
+  for (int i = 0; i < 6; ++i) inv *= 2 - odd * inv;
+  return x * inv;
+}
+
+void ExpectSuccessorsMatchOracle(const ChordOverlay& chord,
+                                 const std::set<net::PeerId>& members) {
+  std::vector<std::pair<NodeId, net::PeerId>> ring;
+  for (net::PeerId p : members) ring.emplace_back(PeerToNodeId(p), p);
+  // Linear scan: the smallest id >= target, else the smallest id (wrap).
+  auto oracle = [&ring](NodeId target) {
+    const std::pair<NodeId, net::PeerId>* best = nullptr;
+    const std::pair<NodeId, net::PeerId>* lowest = &ring[0];
+    for (const auto& m : ring) {
+      if (m.first < lowest->first) lowest = &m;
+      if (m.first >= target && (best == nullptr || m.first < best->first)) {
+        best = &m;
+      }
+    }
+    return (best == nullptr ? lowest : best)->second;
+  };
+  std::vector<NodeId> targets = {0, ~NodeId{0}, NodeId{1} << 63};
+  const int bits = CeilLog2(std::max<size_t>(ring.size(), 2));
+  const NodeId low_mask = ~NodeId{0} >> bits;
+  for (const auto& m : ring) {
+    const NodeId id = m.first;
+    for (NodeId t : {id, id - 1, id + 1, id & ~low_mask, id | low_mask,
+                     (id & ~low_mask) - 1, (id | low_mask) + 1}) {
+      targets.push_back(t);
+    }
+  }
+  for (NodeId t : targets) {
+    const uint64_t key = KeyAtNodeId(t);
+    ASSERT_EQ(KeyToNodeId(key), t);
+    ASSERT_EQ(chord.ResponsibleMember(key), oracle(t))
+        << "ring of " << ring.size() << ", target " << NodeIdToString(t);
+  }
+}
+
+TEST(ChordTest, SuccessorIndexMatchesLinearScanOracle) {
+  for (uint32_t n : {1u, 2u, 3u, 1000u, 1024u, 1025u}) {
+    ChordFixture f(n);
+    std::set<net::PeerId> members;
+    for (uint32_t i = 0; i < n; ++i) members.insert(i);
+    ExpectSuccessorsMatchOracle(f.chord, members);
+    // Growing past a power of two adds a bucket bit; shrinking below one
+    // drops it.
+    for (net::PeerId p = n; p < n + 3; ++p) {
+      f.net.SetOnline(p, true);
+      f.chord.AddMember(p);
+      members.insert(p);
+    }
+    ExpectSuccessorsMatchOracle(f.chord, members);
+    for (net::PeerId p = 0; p < 4 && members.size() > 1; ++p) {
+      f.chord.RemoveMember(p);
+      members.erase(p);
+    }
+    ExpectSuccessorsMatchOracle(f.chord, members);
+    EXPECT_EQ(f.chord.CheckInvariants(), "");
+  }
 }
 
 // Parameterized: lookup success and hop bound across ring sizes.

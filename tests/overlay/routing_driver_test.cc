@@ -88,7 +88,8 @@ class ScriptedOverlay : public StructuredOverlay {
  private:
   // No routing table to maintain: MemberTableSize is 0, so maintenance
   // plans no tasks and never probes.
-  MaintenanceStats ProbeMember(net::PeerId, uint32_t, Rng&) override {
+  MaintenanceStats ProbeMember(size_t, net::PeerId, uint32_t,
+                               Rng&) override {
     return {};
   }
   Rng& MaintenanceRng() override { return rng_; }
