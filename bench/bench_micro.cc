@@ -1,8 +1,8 @@
 // google-benchmark microbenchmarks for the hot primitives of the library:
 // RNG, Zipf sampling, TTL-index operations, Chord lookups and successor
-// search, maintenance planning, analytical model evaluation.  These guard
-// the simulator's throughput (a 20,000-peer run issues millions of these
-// operations).
+// search, maintenance planning and execution, analytical model
+// evaluation.  These guard the simulator's throughput (a 20,000-peer run
+// issues millions of these operations).
 
 #include <benchmark/benchmark.h>
 
@@ -141,6 +141,49 @@ BENCHMARK(BM_PlanMaintenanceRound)
     ->Arg(4)
     ->Unit(benchmark::kMicrosecond)
     ->UseRealTime();
+
+// The maintenance execute step alone: every task of a planned round run
+// inline over Chord with 100k and 1M members (every 3rd offline), timed
+// per task.  Planning and the finish fold are outside the timed region.
+// Eight untimed rounds first repair most entries naming offline members
+// (about e^-2.8 of them stay stale), so the timed rounds probe tables
+// about as live as a churning run's.
+void BM_MaintenanceExecute(benchmark::State& state) {
+  CounterRegistry counters;
+  net::Network net(&counters);
+  overlay::ChordOverlay chord(&net, Rng(6));
+  const uint32_t n = static_cast<uint32_t>(state.range(0));
+  std::vector<net::PeerId> members(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    members[i] = i;
+    net.SetOnline(i, i % 3 != 0);
+  }
+  chord.SetMembers(members);
+  constexpr double kEnv = 0.35;
+  for (int round = 0; round < 8; ++round) chord.RunMaintenanceRound(kEnv);
+  Rng rng(8);
+  uint64_t tasks = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    const uint32_t num_tasks = chord.PlanMaintenanceRound(kEnv);
+    state.ResumeTiming();
+    for (uint32_t t = 0; t < num_tasks; ++t) {
+      chord.ExecuteMaintenanceTask(t, rng);
+    }
+    state.PauseTiming();
+    chord.FinishMaintenanceRound();
+    state.ResumeTiming();
+    tasks += num_tasks;
+  }
+  // Seconds per task, printed with an SI prefix (n = nanoseconds).
+  state.counters["time_per_task"] = benchmark::Counter(
+      static_cast<double>(tasks),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_MaintenanceExecute)
+    ->Arg(100000)
+    ->Arg(1000000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_CostModelEvaluate(benchmark::State& state) {
   model::ScenarioParams p;

@@ -778,9 +778,6 @@ void PdhtSystem::RunQueryActor(sim::RoundContext& ctx) {
   round_queries_ = 0;
   round_hits_ = 0;
   if (query_tasks_.empty()) return;
-  // Warm lazily-built shared read state serially (e.g. Chord's mutable
-  // members cache) so the parallel phase only ever reads it.
-  if (overlay_) overlay_->members();
   query_results_.resize(query_tasks_.size());
   {
     ScopedPhaseMs timer(&engine_, kPhaseQuery);
@@ -1042,7 +1039,6 @@ void PdhtSystem::RunUpdateActor(sim::RoundContext& /*ctx*/) {
                                 : workload_->KeyAtRank(rank));
   }
   if (update_tasks_.empty()) return;
-  if (overlay_) overlay_->members();  // warm shared read caches serially
   const uint64_t upd_seed =
       Mix64(HashCombine(round_seed_, 0x75706474ULL));  // "updt"
   update_inserted_.resize(update_tasks_.size());

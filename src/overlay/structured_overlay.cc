@@ -112,7 +112,7 @@ uint32_t StructuredOverlay::PlanMaintenanceRound(double env,
     uint32_t task = maint_chunk_base_[chunk];
     for (uint32_t slot = begin; slot < end; ++slot) {
       if (maint_probes_[slot] > 0) {
-        maint_tasks_[task++] = MaintTask{slot, maint_probes_[slot], {}};
+        maint_tasks_[task++] = MaintTask{slot, maint_probes_[slot]};
       }
     }
   });
@@ -120,17 +120,24 @@ uint32_t StructuredOverlay::PlanMaintenanceRound(double env,
 }
 
 void StructuredOverlay::ExecuteMaintenanceTask(uint32_t task, Rng& rng) {
-  MaintTask& t = maint_tasks_[task];
-  t.stats = ProbeMember(t.slot, members()[t.slot], t.probes, rng);
+  const MaintTask t = maint_tasks_[task];
+  const MaintenanceStats st =
+      ProbeMember(t.slot, members()[t.slot], t.probes, rng);
+  assert(CurrentLookupSlot() < maint_slot_stats_.size());
+  MaintenanceStats& acc = maint_slot_stats_[CurrentLookupSlot()].stats;
+  acc.probes_sent += st.probes_sent;
+  acc.stale_detected += st.stale_detected;
+  acc.repairs += st.repairs;
 }
 
 uint64_t StructuredOverlay::FinishMaintenanceRound() {
   uint64_t probes = 0;
-  for (const MaintTask& t : maint_tasks_) {
-    maint_stats_.probes_sent += t.stats.probes_sent;
-    maint_stats_.stale_detected += t.stats.stale_detected;
-    maint_stats_.repairs += t.stats.repairs;
-    probes += t.stats.probes_sent;
+  for (SlotMaintStats& s : maint_slot_stats_) {
+    maint_stats_.probes_sent += s.stats.probes_sent;
+    maint_stats_.stale_detected += s.stats.stale_detected;
+    maint_stats_.repairs += s.stats.repairs;
+    probes += s.stats.probes_sent;
+    s.stats = MaintenanceStats{};
   }
   maint_tasks_.clear();
   return probes;

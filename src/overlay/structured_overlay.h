@@ -282,6 +282,7 @@ class StructuredOverlay {
   void SetLookupSlots(uint32_t n) {
     driver_.SetSlots(n);
     ResizeLookupSlots(n == 0 ? 1 : n);
+    maint_slot_stats_.resize(n == 0 ? 1 : n);
   }
   uint32_t lookup_slots() const { return driver_.num_slots(); }
 
@@ -322,9 +323,14 @@ class StructuredOverlay {
   //    member's own table and reads shared state (membership, other
   //    members' tables, Network::IsOnline) that the engine freezes for
   //    the phase; probe sends go through the Network (the engine binds a
-  //    counter lane around each task).
-  //  * FinishMaintenanceRound (serial) folds the per-task stats into
-  //    maintenance_stats() in task order and returns the round's probes.
+  //    counter lane around each task).  The task's stats add into the
+  //    accumulator of the caller's CurrentLookupSlot(), so concurrent
+  //    callers must run under distinct slots (the engine binds one per
+  //    worker; inline callers are slot 0).
+  //  * FinishMaintenanceRound (serial) folds the lookup_slots()
+  //    accumulators into maintenance_stats() and returns the round's
+  //    probes.  The stats are integer sums, so neither the task order
+  //    nor the slot a task ran under changes them.
   //
   // RunMaintenanceRound is the three steps back to back, planned inline
   // and every task in order on the backend's MaintenanceRng().  Because
@@ -420,17 +426,22 @@ class StructuredOverlay {
   PeerRttFn peer_rtt_;     ///< null = RTT-blind neighbor selection
 
  private:
-  /// One member's share of a planned round: its members() slot, its
-  /// whole probes and, after execution, what they found.
+  /// One member's share of a planned round: its members() slot and its
+  /// whole probes.
   struct MaintTask {
     uint32_t slot = 0;
     uint32_t probes = 0;
+  };
+  /// One lookup slot's share of the round's stats, padded to a cache
+  /// line so concurrent workers never write the same line.
+  struct alignas(64) SlotMaintStats {
     MaintenanceStats stats;
   };
 
   RoutingDriver driver_;
   std::vector<double> maint_budget_;  ///< fractional carry, by slot
   std::vector<MaintTask> maint_tasks_;
+  std::vector<SlotMaintStats> maint_slot_stats_{1};  ///< by lookup slot
   std::vector<uint32_t> maint_probes_;  ///< planner buffer: probes by slot
   std::vector<uint32_t> maint_chunk_base_;  ///< planner buffer: task offsets
   MaintenanceStats maint_stats_;

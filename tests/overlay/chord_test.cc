@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <stdexcept>
 
 #include "overlay/dht/id.h"
 #include "stats/histogram.h"
@@ -231,6 +232,64 @@ TEST(ChordTest, RemoveMemberShrinksRing) {
   }
   LookupResult r = f.chord.Lookup(0, 42);
   EXPECT_TRUE(r.success);
+}
+
+// CheckInvariants walks every slot's table (counts within the stride,
+// entries naming members under their ring ids, successor lists in
+// clockwise order).  Run it after every step that writes tables.
+TEST(ChordTest, TablesStayValidThroughEveryMutation) {
+  // 64 members: the 65th crosses a power of two and grows the stride from
+  // 8 + 8 to 9 + 8 entries.
+  ChordFixture f(64, 7);
+  ASSERT_EQ(f.chord.CheckInvariants(), "");
+  Rng churn(3);
+  for (int round = 0; round < 20; ++round) {
+    for (int k = 0; k < 6; ++k) {
+      const net::PeerId p = static_cast<net::PeerId>(churn.UniformU64(64));
+      f.net.SetOnline(p, !f.net.IsOnline(p));
+    }
+    f.chord.RunMaintenanceRound(1.0);
+    ASSERT_EQ(f.chord.CheckInvariants(), "") << "round " << round;
+  }
+  EXPECT_GT(f.chord.maintenance_stats().repairs, 0u);
+  Rng rejoin(5);
+  for (net::PeerId p = 0; p < 64; ++p) {
+    if (f.net.IsOnline(p)) f.chord.RejoinNode(p, rejoin);
+  }
+  ASSERT_EQ(f.chord.CheckInvariants(), "");
+  for (net::PeerId p = 64; p < 67; ++p) {
+    f.net.SetOnline(p, true);
+    f.chord.AddMember(p);
+    ASSERT_EQ(f.chord.CheckInvariants(), "") << "after adding " << p;
+  }
+  const std::vector<net::PeerId>& mem = f.chord.members();
+  const size_t joined =
+      static_cast<size_t>(std::find(mem.begin(), mem.end(), 64u) - mem.begin());
+  ASSERT_LT(joined, mem.size());
+  EXPECT_EQ(f.chord.MemberTableSize(joined), 9u + 8u);
+  // Departures re-point the entries naming the departed peer, which stays
+  // online: no table may route onto a non-member.
+  for (net::PeerId p : {64u, 0u, 1u, 2u}) {
+    f.chord.RemoveMember(p);
+    ASSERT_EQ(f.chord.CheckInvariants(), "") << "after removing " << p;
+  }
+  Rng pick(9);
+  for (net::PeerId origin : f.chord.members()) {
+    if (!f.net.IsOnline(origin)) continue;
+    for (int k = 0; k < 8; ++k) {
+      const LookupResult r = f.chord.Lookup(origin, pick.Next());
+      EXPECT_TRUE(f.chord.IsMember(r.terminus)) << "origin " << origin;
+    }
+  }
+}
+
+TEST(ChordTest, RejectsSuccessorListsBeyondByteCounts) {
+  pdht::CounterRegistry counters;
+  net::Network net(&counters);
+  EXPECT_NO_THROW(
+      ChordOverlay(&net, Rng(1), ChordOverlay::kMaxSuccessors));
+  EXPECT_THROW(ChordOverlay(&net, Rng(1), ChordOverlay::kMaxSuccessors + 1),
+               std::invalid_argument);
 }
 
 TEST(ChordTest, RandomOnlineMemberSkipsOffline) {

@@ -190,7 +190,7 @@ TEST(ChordMaintenanceTest, RejoinRefreshesTable) {
   // Peer 3 returns: the refresh must leave it able to route.
   f.net.SetOnline(3, true);
   f.chord.RefreshNode(3);
-  ASSERT_NE(f.chord.TableOf(3), nullptr);
+  ASSERT_TRUE(f.chord.IsMember(3));
   LookupResult r = f.chord.Lookup(3, 424242);
   EXPECT_TRUE(r.success);
 }
@@ -224,9 +224,9 @@ TEST(ChordMaintenanceTest, PerMemberProbesFollowTableSize) {
   for (int r = 1; r <= 8; ++r) {
     total += f.chord.RunMaintenanceRound(kEnv);
     uint64_t expected = 0;
-    for (net::PeerId p : f.chord.members()) {
+    for (size_t slot = 0; slot < f.chord.num_members(); ++slot) {
       expected += static_cast<uint64_t>(
-          r * kEnv * static_cast<double>(f.chord.TableOf(p)->size()));
+          r * kEnv * static_cast<double>(f.chord.MemberTableSize(slot)));
     }
     EXPECT_EQ(total, expected) << "round " << r;
   }
