@@ -1,8 +1,8 @@
 // google-benchmark microbenchmarks for the hot primitives of the library:
 // RNG, Zipf sampling, TTL-index operations, Chord lookups and successor
-// search, maintenance planning and execution, analytical model
-// evaluation.  These guard the simulator's throughput (a 20,000-peer run
-// issues millions of these operations).
+// search, maintenance planning and execution, content placement and its
+// oracle, analytical model evaluation.  These guard the simulator's
+// throughput (a 20,000-peer run issues millions of these operations).
 
 #include <benchmark/benchmark.h>
 
@@ -11,6 +11,7 @@
 #include "model/selection_model.h"
 #include "net/network.h"
 #include "overlay/dht/chord.h"
+#include "overlay/unstructured/replication.h"
 #include "sim/shard_pool.h"
 #include "util/rng.h"
 #include "util/zipf.h"
@@ -184,6 +185,43 @@ BENCHMARK(BM_MaintenanceExecute)
     ->Arg(100000)
     ->Arg(1000000)
     ->Unit(benchmark::kMillisecond);
+
+// Bulk content placement (Section 3.1: keys replicated at random peers)
+// at 1/10 of churn_1m's scale: 100k peers, 200k keys, repl 10.  This is
+// the largest step of PdhtSystem construction at 1M peers.
+void BM_ReplicaPlacementPlaceKeys(benchmark::State& state) {
+  for (auto _ : state) {
+    overlay::ReplicaPlacement placement(100000, 10, Rng(9));
+    placement.PlaceKeys(200000);
+    benchmark::DoNotOptimize(placement.num_keys());
+  }
+}
+BENCHMARK(BM_ReplicaPlacementPlaceKeys)->Unit(benchmark::kMillisecond);
+
+// The walk search's content oracle over the same placement.  Arg 0 is
+// walk-like: one key probed at 128 random peers in a row (a walker's
+// steps), then the next key.  Arg 1 draws a random key and peer per
+// probe, so every probe lands on a cold key.
+void BM_ReplicaPlacementPeerHoldsKey(benchmark::State& state) {
+  constexpr uint32_t kPeers = 100000;
+  constexpr uint64_t kKeys = 200000;
+  overlay::ReplicaPlacement placement(kPeers, 10, Rng(9));
+  placement.PlaceKeys(kKeys);
+  const bool walk_like = state.range(0) == 0;
+  state.SetLabel(walk_like ? "walk_like" : "random");
+  Rng rng(10);
+  uint64_t key = rng.UniformU64(kKeys);
+  uint32_t step = 0;
+  for (auto _ : state) {
+    if (!walk_like || ++step == 128) {
+      key = rng.UniformU64(kKeys);
+      step = 0;
+    }
+    const auto peer = static_cast<net::PeerId>(rng.UniformU64(kPeers));
+    benchmark::DoNotOptimize(placement.PeerHoldsKey(peer, key));
+  }
+}
+BENCHMARK(BM_ReplicaPlacementPeerHoldsKey)->Arg(0)->Arg(1);
 
 void BM_CostModelEvaluate(benchmark::State& state) {
   model::ScenarioParams p;

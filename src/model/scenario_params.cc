@@ -1,7 +1,9 @@
 #include "model/scenario_params.h"
 
+#include <cmath>
 #include <sstream>
 
+#include "net/message.h"
 #include "stats/table_writer.h"
 
 namespace pdht::model {
@@ -19,16 +21,32 @@ ScenarioParams ScenarioParams::WithQueryFrequency(double f) const {
 
 std::string ScenarioParams::Validate() const {
   if (num_peers == 0) return "num_peers must be positive";
+  // Peer ids are 32-bit and the all-ones id is the "no peer" sentinel.
+  if (num_peers >= net::kInvalidPeer) return "num_peers must be < 2^32 - 1";
   if (keys == 0) return "keys must be positive";
   if (stor == 0) return "stor must be positive";
   if (repl == 0) return "repl must be positive";
   if (repl > num_peers) return "repl cannot exceed num_peers";
-  if (alpha < 0.0) return "alpha must be non-negative";
-  if (f_qry <= 0.0) return "f_qry must be positive";
-  if (f_upd < 0.0) return "f_upd must be non-negative";
-  if (env < 0.0) return "env must be non-negative";
-  if (dup < 1.0) return "dup must be >= 1 (each search sends >= 1 copy)";
-  if (dup2 < 1.0) return "dup2 must be >= 1";
+  // Each check is written so that NaN fails it (every comparison with NaN
+  // is false), and infinities are rejected explicitly.
+  if (!(std::isfinite(alpha) && alpha >= 0.0)) {
+    return "alpha must be finite and non-negative";
+  }
+  if (!(std::isfinite(f_qry) && f_qry > 0.0)) {
+    return "f_qry must be finite and positive";
+  }
+  if (!(std::isfinite(f_upd) && f_upd >= 0.0)) {
+    return "f_upd must be finite and non-negative";
+  }
+  if (!(std::isfinite(env) && env >= 0.0)) {
+    return "env must be finite and non-negative";
+  }
+  if (!(std::isfinite(dup) && dup >= 1.0)) {
+    return "dup must be finite and >= 1 (each search sends >= 1 copy)";
+  }
+  if (!(std::isfinite(dup2) && dup2 >= 1.0)) {
+    return "dup2 must be finite and >= 1";
+  }
   if (key_space_arity < 2) return "key_space_arity must be >= 2";
   return "";
 }

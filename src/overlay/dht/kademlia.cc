@@ -44,8 +44,8 @@ void KademliaOverlay::SetMembers(const std::vector<net::PeerId>& members) {
   for (net::PeerId p : member_list_) BuildBuckets(p, rng_);
 }
 
-std::vector<net::PeerId> KademliaOverlay::BucketCandidates(
-    NodeId id, int bucket) const {
+std::pair<size_t, size_t> KademliaOverlay::BucketRange(NodeId id,
+                                                      int bucket) const {
   // Members in [id ^ 2^bucket .. id ^ (2^(bucket+1) - 1)]: ids sharing
   // the 63-bucket leading bits of `id` and differing at bit `bucket`.
   // That range is contiguous in sorted id order, so two binary searches
@@ -54,41 +54,50 @@ std::vector<net::PeerId> KademliaOverlay::BucketCandidates(
               ~((NodeId{1} << bucket) - 1);  // flip bit, clear tail
   NodeId hi = lo | ((NodeId{1} << bucket) - 1);
   auto first = std::lower_bound(sorted_ids_.begin(), sorted_ids_.end(), lo);
-  auto last = std::upper_bound(sorted_ids_.begin(), sorted_ids_.end(), hi);
-  std::vector<net::PeerId> out;
-  out.reserve(static_cast<size_t>(last - first));
-  for (auto it = first; it != last; ++it) {
-    out.push_back(
-        member_list_[static_cast<size_t>(it - sorted_ids_.begin())]);
-  }
-  return out;
+  auto last = std::upper_bound(first, sorted_ids_.end(), hi);
+  return {static_cast<size_t>(first - sorted_ids_.begin()),
+          static_cast<size_t>(last - sorted_ids_.begin())};
 }
 
 void KademliaOverlay::BuildBuckets(net::PeerId peer, Rng& rng) {
   NodeState& st = nodes_.at(peer);
   st.buckets.assign(64, {});
+  // Scratch reused across this peer's buckets (local: rejoins rebuild
+  // distinct peers concurrently).
+  std::vector<std::pair<double, net::PeerId>> by_rtt;
+  std::vector<net::PeerId> shuffled;
   for (int b = 0; b < 64; ++b) {
-    std::vector<net::PeerId> cands = BucketCandidates(st.id, b);
-    if (cands.size() > bucket_size_) {
-      if (has_peer_rtt()) {
-        // Proximity-aware selection: every candidate of this bucket makes
-        // identical routing progress, so keep the k cheapest links.  RTTs
-        // are materialized once per candidate (the oracle is a hash-and-
-        // hypot evaluation, too costly for O(n log n) comparator calls);
-        // the (rtt, id) key makes the choice deterministic even under
-        // exact RTT ties.  No RNG draw happens on this path, so the
-        // RTT-blind stream is untouched.
-        std::vector<std::pair<double, net::PeerId>> by_rtt;
-        by_rtt.reserve(cands.size());
-        for (net::PeerId c : cands) by_rtt.emplace_back(PeerRtt(peer, c), c);
-        std::sort(by_rtt.begin(), by_rtt.end());
-        for (size_t i = 0; i < bucket_size_; ++i) cands[i] = by_rtt[i].second;
-      } else {
-        rng.Shuffle(cands.data(), cands.size());
+    const auto [first, last] = BucketRange(st.id, b);
+    const auto cands = member_list_.begin() + static_cast<long>(first);
+    const auto cands_end = member_list_.begin() + static_cast<long>(last);
+    std::vector<net::PeerId>& bucket = st.buckets[b];
+    if (last - first <= bucket_size_) {
+      bucket.assign(cands, cands_end);
+    } else if (has_peer_rtt()) {
+      // Proximity-aware selection: every candidate of this bucket makes
+      // identical routing progress, so keep the k cheapest links.  RTTs
+      // are materialized once per candidate (the oracle is a hash-and-
+      // hypot evaluation, too costly for O(n log n) comparator calls);
+      // the (rtt, id) key is a strict total order over distinct peers,
+      // so selecting the k smallest and sorting only those keeps exactly
+      // the entries, in the order, a full sort would.  No RNG draw
+      // happens on this path, so the RTT-blind stream is untouched.
+      by_rtt.clear();
+      for (auto it = cands; it != cands_end; ++it) {
+        by_rtt.emplace_back(PeerRtt(peer, *it), *it);
       }
-      cands.resize(bucket_size_);
+      const auto kth = by_rtt.begin() + bucket_size_;
+      std::nth_element(by_rtt.begin(), kth, by_rtt.end());
+      std::sort(by_rtt.begin(), kth);
+      bucket.reserve(bucket_size_);
+      for (auto it = by_rtt.begin(); it != kth; ++it) {
+        bucket.push_back(it->second);
+      }
+    } else {
+      shuffled.assign(cands, cands_end);
+      rng.Shuffle(shuffled.data(), shuffled.size());
+      bucket.assign(shuffled.begin(), shuffled.begin() + bucket_size_);
     }
-    st.buckets[b] = std::move(cands);
   }
 }
 
@@ -240,11 +249,11 @@ MaintenanceStats KademliaOverlay::ProbeMember(size_t /*slot*/,
       // same bucket not already referenced, if one exists.  With the
       // PeerRtt hook installed the *cheapest* such replacement wins
       // (proximity-aware repair); blind repair keeps first-found.
-      std::vector<net::PeerId> cands =
-          BucketCandidates(st.id, static_cast<int>(b));
+      const auto [first, last] = BucketRange(st.id, static_cast<int>(b));
       net::PeerId best = net::kInvalidPeer;
       double best_rtt = 0.0;
-      for (net::PeerId cand : cands) {
+      for (size_t c = first; c < last; ++c) {
+        const net::PeerId cand = member_list_[c];
         if (!network_->IsOnline(cand)) continue;
         if (std::find(st.buckets[b].begin(), st.buckets[b].end(), cand) !=
             st.buckets[b].end()) {

@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "overlay/dht/id.h"
@@ -126,8 +127,9 @@ class KademliaOverlay : public StructuredOverlay {
   MaintenanceStats ProbeMember(size_t slot, net::PeerId peer,
                                uint32_t probes, Rng& rng) override;
   Rng& MaintenanceRng() override { return rng_; }
-  /// Members whose id differs from `id` first at bit `bucket`.
-  std::vector<net::PeerId> BucketCandidates(NodeId id, int bucket) const;
+  /// Index range [first, last) of member_list_ (and sorted_ids_) holding
+  /// the members whose id differs from `id` first at bit `bucket`.
+  std::pair<size_t, size_t> BucketRange(NodeId id, int bucket) const;
   /// The member id-closest (XOR) to `target`; kInvalidPeer when empty.
   net::PeerId ClosestMemberTo(NodeId target) const;
 

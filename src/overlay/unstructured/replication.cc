@@ -6,67 +6,67 @@
 namespace pdht::overlay {
 
 ReplicaPlacement::ReplicaPlacement(uint32_t num_peers, uint32_t repl, Rng rng)
-    : num_peers_(num_peers), repl_(repl), rng_(rng), held_(num_peers) {
+    : num_peers_(num_peers), repl_(repl),
+      want_(std::min(repl, num_peers)), rng_(rng) {
   assert(num_peers >= 1);
+  assert(num_peers < net::kInvalidPeer);
   assert(repl >= 1);
 }
 
+void ReplicaPlacement::Grow(uint64_t n) {
+  if (n > capacity()) slots_.resize(n * want_, net::kInvalidPeer);
+}
+
 void ReplicaPlacement::PlaceKey(uint64_t key) {
-  if (replicas_.count(key)) return;
-  uint32_t want = std::min(repl_, num_peers_);
-  std::vector<net::PeerId> chosen;
-  chosen.reserve(want);
-  while (chosen.size() < want) {
+  Grow(key + 1);
+  net::PeerId* chosen = slots_.data() + key * want_;
+  if (chosen[0] != net::kInvalidPeer) return;
+  uint32_t n = 0;
+  while (n < want_) {
     net::PeerId p = static_cast<net::PeerId>(rng_.UniformU64(num_peers_));
-    if (std::find(chosen.begin(), chosen.end(), p) == chosen.end()) {
-      chosen.push_back(p);
-      std::vector<uint64_t>& held = held_[p];
-      held.insert(std::lower_bound(held.begin(), held.end(), key), key);
-    }
+    if (std::find(chosen, chosen + n, p) == chosen + n) chosen[n++] = p;
   }
-  replicas_.emplace(key, std::move(chosen));
+  ++num_placed_;
 }
 
 void ReplicaPlacement::PlaceKeys(uint64_t n) {
+  Grow(n);
   for (uint64_t k = 0; k < n; ++k) PlaceKey(k);
 }
 
 bool ReplicaPlacement::IsPlaced(uint64_t key) const {
-  return replicas_.count(key) > 0;
+  return key < capacity() && slots_[key * want_] != net::kInvalidPeer;
 }
 
 bool ReplicaPlacement::PeerHoldsKey(net::PeerId peer, uint64_t key) const {
-  if (peer >= held_.size()) return false;
-  const std::vector<uint64_t>& held = held_[peer];
-  return std::binary_search(held.begin(), held.end(), key);
+  // An unplaced key's slots all read kInvalidPeer, which no peer id equals.
+  if (key >= capacity() || peer >= num_peers_) return false;
+  const net::PeerId* reps = slots_.data() + key * want_;
+  return std::find(reps, reps + want_, peer) != reps + want_;
 }
 
-const std::vector<net::PeerId>& ReplicaPlacement::ReplicasOf(
-    uint64_t key) const {
-  auto it = replicas_.find(key);
-  return it == replicas_.end() ? empty_ : it->second;
+std::vector<net::PeerId> ReplicaPlacement::ReplicasOf(uint64_t key) const {
+  if (!IsPlaced(key)) return {};
+  const auto first = slots_.begin() + static_cast<std::ptrdiff_t>(key * want_);
+  return std::vector<net::PeerId>(first, first + want_);
 }
 
 void ReplicaPlacement::RemoveKey(uint64_t key) {
-  auto it = replicas_.find(key);
-  if (it == replicas_.end()) return;
-  for (net::PeerId p : it->second) {
-    std::vector<uint64_t>& held = held_[p];
-    auto kit = std::lower_bound(held.begin(), held.end(), key);
-    if (kit != held.end() && *kit == key) held.erase(kit);
-  }
-  replicas_.erase(it);
+  if (!IsPlaced(key)) return;
+  const auto first = slots_.begin() + static_cast<std::ptrdiff_t>(key * want_);
+  std::fill(first, first + want_, net::kInvalidPeer);
+  --num_placed_;
 }
 
 double ReplicaPlacement::OnlineReplicaFraction(
     uint64_t key, const std::vector<bool>& alive) const {
-  const auto& reps = ReplicasOf(key);
-  if (reps.empty()) return 0.0;
+  if (!IsPlaced(key)) return 0.0;
+  const net::PeerId* reps = slots_.data() + key * want_;
   uint32_t online = 0;
-  for (net::PeerId p : reps) {
-    if (p < alive.size() && alive[p]) ++online;
+  for (uint32_t i = 0; i < want_; ++i) {
+    if (reps[i] < alive.size() && alive[reps[i]]) ++online;
   }
-  return static_cast<double>(online) / static_cast<double>(reps.size());
+  return static_cast<double>(online) / static_cast<double>(want_);
 }
 
 }  // namespace pdht::overlay

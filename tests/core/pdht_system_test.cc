@@ -1,5 +1,7 @@
 #include "core/pdht_system.h"
 
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -61,6 +63,15 @@ TEST(SystemConfigTest, ConstructorThrowsOnOutOfRangeConfig) {
   bad.push_back(BaseConfig(Strategy::kPartialTtl));
   bad.back().churn.enabled = true;
   bad.back().churn.mean_offline_s = -1800.0;
+  // NaN fails every ordered comparison, so a range check alone would let
+  // it through into the derived TTL and the query rates.
+  bad.push_back(BaseConfig(Strategy::kPartialTtl));
+  bad.back().params.alpha = std::numeric_limits<double>::quiet_NaN();
+  // Peer ids are 32-bit with the all-ones id reserved as "no peer"; the
+  // system would otherwise truncate the count.  Validation must reject it
+  // before any per-peer state is sized.
+  bad.push_back(BaseConfig(Strategy::kPartialTtl));
+  bad.back().params.num_peers = uint64_t{1} << 32;
   for (const SystemConfig& c : bad) {
     const std::string err = c.Validate();
     ASSERT_FALSE(err.empty());
